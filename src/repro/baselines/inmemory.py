@@ -36,12 +36,13 @@ from repro.index.kmeans import (
     plan_iterations,
     plan_num_clusters,
 )
-from repro.query.distance import (
-    distances_to_one,
-    pairwise_distances,
-    surface_distance,
+from repro.query.distance import distances_to_one, pairwise_distances
+from repro.query.heap import (
+    TopKHeap,
+    merge_topk,
+    push_topk,
+    surfaced_neighbors,
 )
-from repro.query.heap import topk_from_distances
 from repro.storage.memory import MemoryTracker
 
 #: Memory-tracker category for the resident vector buffer.
@@ -217,15 +218,7 @@ class InMemoryIVF:
             scanned = 0
         else:
             dist = distances_to_one(query, self._vectors[rows], metric)
-            ids = [self._ids[i] for i in rows]
-            candidates = topk_from_distances(ids, dist, k)
-            neighbors = tuple(
-                Neighbor(
-                    asset_id=c.asset_id,
-                    distance=surface_distance(c.distance, metric),
-                )
-                for c in candidates
-            )
+            neighbors = self._top_neighbors(dist, k, rows)
             scanned = int(rows.size)
         stats = QueryStats(
             plan=PlanKind.ANN,
@@ -236,6 +229,17 @@ class InMemoryIVF:
             latency_s=time.perf_counter() - start,
         )
         return SearchResult(neighbors=neighbors, stats=stats)
+
+    def _top_neighbors(
+        self, dist: np.ndarray, k: int, rows: np.ndarray | None = None
+    ) -> tuple[Neighbor, ...]:
+        """The k closest of ``dist`` (over ``rows`` of the buffer),
+        surfaced — the engine's accumulator, so its ordering contract."""
+        heap = TopKHeap(k)
+        push_topk(heap, self._ids, dist, k, rows)
+        return surfaced_neighbors(
+            merge_topk([heap], k), self._config.metric
+        )
 
     def search_batch(
         self, queries: np.ndarray, k: int = 10, nprobe: int | None = None
@@ -259,14 +263,7 @@ class InMemoryIVF:
                 stats=QueryStats(plan=PlanKind.EXACT, latency_s=0.0),
             )
         dist = distances_to_one(query, self._vectors, metric)
-        candidates = topk_from_distances(self._ids, dist, k)
-        neighbors = tuple(
-            Neighbor(
-                asset_id=c.asset_id,
-                distance=surface_distance(c.distance, metric),
-            )
-            for c in candidates
-        )
+        neighbors = self._top_neighbors(dist, k)
         stats = QueryStats(
             plan=PlanKind.EXACT,
             vectors_scanned=len(self._ids),

@@ -115,6 +115,7 @@ class MicroNN:
             raise
         self._estimator_lock = threading.Lock()
         self._estimator: SelectivityEstimator | None = None
+        self._partition_target: int | None = None
         # The concurrent serving scheduler is built lazily on the first
         # async submission — a purely synchronous user never pays for
         # its threads. ``_closed`` (set under the same lock) keeps a
@@ -649,14 +650,26 @@ class MicroNN:
     def _invalidate_estimates(self) -> None:
         with self._estimator_lock:
             self._estimator = None
+            self._partition_target = None
         self._token_stats.invalidate()
 
     def _current_partition_target(self) -> int:
-        """The p of F̂_IVF: actual average partition size when indexed."""
-        stats = self._monitor.stats()
-        if stats.num_partitions > 0 and stats.avg_partition_size > 0:
-            return max(1, round(stats.avg_partition_size))
-        return self._config.target_cluster_size
+        """The p of F̂_IVF: actual average partition size when indexed.
+
+        Two catalog counts, cached beside the selectivity estimator
+        until the next write / build / maintain — the planner runs on
+        every filtered query and needs nothing else of ``IndexStats``.
+        """
+        with self._estimator_lock:
+            if self._partition_target is None:
+                partitions = self._engine.centroid_count()
+                indexed = self._engine.count_vectors(include_delta=False)
+                self._partition_target = (
+                    max(1, round(indexed / partitions))
+                    if partitions > 0 and indexed > 0
+                    else self._config.target_cluster_size
+                )
+            return self._partition_target
 
     # ------------------------------------------------------------------
     # Cache scenarios and telemetry (§4.1.4)

@@ -27,7 +27,7 @@ from repro.query.filters import (
     default_tokenizer,
 )
 from repro.query.fts import TokenStats, match_selectivity
-from repro.query.heap import Candidate, TopKHeap, merge_topk
+from repro.query.heap import TopKHeap, merge_topk
 from repro.query.planner import HybridQueryPlanner, PlanDecision
 from repro.query.selectivity import (
     ColumnStats,
@@ -41,7 +41,6 @@ __all__ = [
     "distances_to_one",
     "surface_distance",
     "TopKHeap",
-    "Candidate",
     "merge_topk",
     "Predicate",
     "CompileContext",

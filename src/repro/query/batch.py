@@ -9,7 +9,9 @@ MicroNN's MQO — adapted from HQI [27] — inverts the loop:
 3. scan every needed partition **once**; for each partition, compute
    the distances of *all* interested queries against its vectors in a
    single GEMM;
-4. feed the per-partition top-K candidates into per-query merges.
+4. fold each query's row of that GEMM into an array accumulator
+   (:class:`~repro.query.heap.TopKHeap`) and merge them per query —
+   asset-id strings are resolved for the survivors only.
 
 Scan cost and I/O are thus amortized across the batch: a partition
 needed by 40 queries is read and decoded once instead of 40 times,
@@ -39,9 +41,10 @@ from repro.query.distance import (
     pairwise_distances,
 )
 from repro.query.heap import (
-    Candidate,
+    TopKHeap,
+    merge_topk,
+    push_topk,
     surfaced_neighbors,
-    topk_from_distances,
 )
 from repro.query.pipeline import (
     has_cold_partition,
@@ -62,7 +65,7 @@ class _BatchScanState:
     __slots__ = ("outcomes",)
 
     def __init__(self) -> None:
-        # (query_rows, locals_per_query, partition_size, is_codes)
+        # (query_rows, heap_per_query, partition_size, is_codes)
         self.outcomes: list[tuple] = []
 
 
@@ -130,6 +133,8 @@ class BatchQueryExecutor:
                 f"query matrix has dimension {q.shape[1]}, "
                 f"expected {self._config.dim}"
             )
+        if not np.isfinite(q).all():
+            raise FilterError("query matrix contains NaN or infinity")
         num_queries = q.shape[0]
         if num_queries == 0:
             return BatchSearchResult(results=[], latency_s=0.0)
@@ -162,13 +167,15 @@ class BatchQueryExecutor:
                 ]
 
             groups, requested = self._group_by_partition(q, nprobe)
-            per_query: list[list[Candidate]] = [
+            # One accumulator per (query, partition), merged per query
+            # after the scans.
+            per_query: list[list[TopKHeap]] = [
                 [] for _ in range(num_queries)
             ]
             # Approximate candidates from quantized scans, kept apart
             # from the exact ones until the per-query rerank resolves
             # them.
-            per_query_approx: list[list[Candidate]] = [
+            per_query_approx: list[list[TopKHeap]] = [
                 [] for _ in range(num_queries)
             ]
             scanned_counts = np.zeros(num_queries, dtype=np.int64)
@@ -188,10 +195,10 @@ class BatchQueryExecutor:
                 groups, q, quantizer, scorers, rerank_pool, k
             )
 
-            for query_rows, locals_per_query, size, is_codes in outcomes:
+            for query_rows, heap_per_query, size, is_codes in outcomes:
                 sink = per_query_approx if is_codes else per_query
-                for row, candidates in zip(query_rows, locals_per_query):
-                    sink[row].extend(candidates)
+                for row, heap in zip(query_rows, heap_per_query):
+                    sink[row].append(heap)
                     scanned_counts[row] += size
 
             reranked = 0
@@ -267,11 +274,15 @@ class BatchQueryExecutor:
                 sub, entry.matrix, self._config.metric
             )
             keep = k
-        locals_per_query = [
-            topk_from_distances(entry.asset_ids, dist[row], keep)
-            for row in range(len(query_rows))
-        ]
-        return query_rows, locals_per_query, len(entry), is_codes
+        # Worker-local accumulators: pool workers score different
+        # partitions of one query at the same time. Each owns its cut
+        # of the GEMM output (push_topk copies the row view).
+        heap_per_query = []
+        for row in range(len(query_rows)):
+            heap = TopKHeap(keep)
+            push_topk(heap, entry.asset_ids, dist[row], keep)
+            heap_per_query.append(heap)
+        return query_rows, heap_per_query, len(entry), is_codes
 
     def _scan_groups(
         self, groups, q, quantizer, scorers, rerank_pool: int, k: int
@@ -406,8 +417,8 @@ class BatchQueryExecutor:
     def _rerank_batch(
         self,
         q: np.ndarray,
-        per_query: list[list[Candidate]],
-        per_query_approx: list[list[Candidate]],
+        per_query: list[list[TopKHeap]],
+        per_query_approx: list[list[TopKHeap]],
         rerank_pool: int,
         k: int,
     ) -> int:
@@ -422,19 +433,8 @@ class BatchQueryExecutor:
         """
         chosen: list[list[str]] = []
         union: set[str] = set()
-        for row, candidates in enumerate(per_query_approx):
-            ranked = sorted(
-                candidates, key=lambda c: (c.distance, c.asset_id)
-            )
-            ids: list[str] = []
-            seen: set[str] = set()
-            for cand in ranked:
-                if cand.asset_id in seen:
-                    continue
-                seen.add(cand.asset_id)
-                ids.append(cand.asset_id)
-                if len(ids) == rerank_pool:
-                    break
+        for heaps in per_query_approx:
+            ids, _ = merge_topk(heaps, rerank_pool)
             chosen.append(ids)
             union.update(ids)
         if not union:
@@ -450,10 +450,9 @@ class BatchQueryExecutor:
                 continue
             sub = matrix[[row_of[aid] for aid in present]]
             dist = distances_to_one(q[row], sub, self._config.metric)
-            per_query[row].extend(
-                Candidate(asset_id=aid, distance=float(d))
-                for aid, d in zip(present, dist)
-            )
+            heap = TopKHeap(k)
+            push_topk(heap, present, dist, k)
+            per_query[row].append(heap)
             reranked += len(present)
         return reranked
 
@@ -483,17 +482,10 @@ class BatchQueryExecutor:
         return groups, requested
 
     def _merge_one(
-        self, candidates: list[Candidate], k: int, scanned: int
+        self, heaps: list[TopKHeap], k: int, scanned: int
     ) -> SearchResult:
-        metric = self._config.metric
-        best: dict[str, float] = {}
-        for cand in candidates:
-            prev = best.get(cand.asset_id)
-            if prev is None or cand.distance < prev:
-                best[cand.asset_id] = cand.distance
-        ranked = sorted(best.items(), key=lambda kv: (kv[1], kv[0]))[:k]
         neighbors = surfaced_neighbors(
-            [Candidate(aid, d) for aid, d in ranked], metric
+            merge_topk(heaps, k), self._config.metric
         )
         stats = QueryStats(
             plan=PlanKind.ANN,

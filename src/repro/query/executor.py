@@ -8,11 +8,14 @@ The ANN path is Algorithm 2 verbatim:
 3. scan the selected partitions in parallel — each worker thread owns a
    bounded :class:`~repro.query.heap.TopKHeap` and processes its share
    of partitions, computing distances in one batched kernel call per
-   partition. Cache-cold scans run as a two-stage I/O–compute pipeline
-   (:mod:`repro.query.pipeline`): partitions are prefetched in
-   centroid-distance order and scored as they arrive, so the disk and
-   the cores are busy at the same time;
-4. merge the per-thread heaps and surface the K best.
+   partition and folding the distance array (plus the row positions a
+   filter kept) into the accumulator as-is: no per-row Python, and no
+   asset-id string is read while scanning. Cache-cold scans run as a
+   two-stage I/O–compute pipeline (:mod:`repro.query.pipeline`):
+   partitions are prefetched in centroid-distance order and scored as
+   they arrive, so the disk and the cores are busy at the same time;
+4. merge the per-thread accumulators, resolve asset-id strings for the
+   K survivors only, and surface them.
 
 With ``quantization="sq8"`` or ``"pq"`` step 3 becomes the *fast scan
 path*: code partitions are scanned with the kind-dispatched quantized
@@ -42,6 +45,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +68,6 @@ from repro.query.heap import (
     merge_topk,
     push_topk,
     surfaced_neighbors,
-    topk_from_distances,
 )
 from repro.query.pipeline import (
     has_cold_partition,
@@ -80,6 +83,10 @@ from repro.storage.quantization import Quantizer
 #: worker pool. Below this, BLAS kernels finish in microseconds and the
 #: pool round-trip would dominate.
 _PARALLEL_SCAN_ELEMENTS = 1 << 21
+
+#: One partition's scan input: its asset-id sequence, the positions of
+#: the matrix rows in it (``None`` = every row in order), the matrix.
+_Work = tuple[Sequence[str], np.ndarray | None, np.ndarray]
 
 
 def adaptive_skip(
@@ -189,21 +196,26 @@ class _QuantizedScanState:
 
 def _masked(
     entry: CachedPartition, qualifying_ids: frozenset[str] | None
-) -> tuple[list[str] | tuple[str, ...], np.ndarray, int]:
-    """Apply the post-filter mask; returns (ids, matrix, rows_dropped)."""
+) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """Apply the post-filter mask; returns (rows, matrix, rows_dropped).
+
+    ``rows`` are the positions in ``entry.asset_ids`` of the matrix
+    rows returned, ``None`` meaning every row in order — the matrix is
+    copied only when the filter actually dropped rows.
+    """
     if qualifying_ids is None:
-        return entry.asset_ids, entry.matrix, 0
-    keep = [
-        i for i, aid in enumerate(entry.asset_ids) if aid in qualifying_ids
-    ]
-    dropped = len(entry) - len(keep)
-    if not keep:
-        return [], entry.matrix[:0], dropped
-    return (
-        [entry.asset_ids[i] for i in keep],
-        entry.matrix[keep],
-        dropped,
+        return None, entry.matrix, 0
+    rows = np.flatnonzero(
+        np.fromiter(
+            map(qualifying_ids.__contains__, entry.asset_ids),
+            dtype=bool,
+            count=len(entry),
+        )
     )
+    dropped = len(entry) - len(rows)
+    if not dropped:
+        return None, entry.matrix, 0
+    return rows, entry.matrix[rows], dropped
 
 
 class QueryExecutor:
@@ -582,15 +594,9 @@ class QueryExecutor:
                         )
                     )
             with _span(tracer, "finalize"):
-                if len(found_ids):
-                    dist = distances_to_one(
-                        query, matrix, self._config.metric
-                    )
-                    candidates = topk_from_distances(found_ids, dist, k)
-                else:
-                    candidates = []
-                neighbors = surfaced_neighbors(
-                    candidates, self._config.metric
+                neighbors = self._finalize(
+                    [self._scan_work([(found_ids, None, matrix)], query, k)],
+                    k,
                 )
 
         io_delta = self._engine.accountant.delta_since(io_before)
@@ -643,6 +649,8 @@ class QueryExecutor:
                 f"query vector has dimension {arr.shape[0]}, "
                 f"expected {self._config.dim}"
             )
+        if not np.isfinite(arr).all():
+            raise FilterError("query vector contains NaN or infinity")
         return arr
 
     def _qualifying_ids(self, predicate: Predicate) -> list[str]:
@@ -827,16 +835,16 @@ class QueryExecutor:
         io_time = time.perf_counter() - io_start
 
         compute_start = time.perf_counter()
-        work: list[tuple[list[str] | tuple[str, ...], np.ndarray]] = []
+        work: list[_Work] = []
         scanned = filtered = 0
         for entry in entries:
             scanned += len(entry)
-            ids, matrix, dropped = _masked(entry, qualifying_ids)
+            rows, matrix, dropped = _masked(entry, qualifying_ids)
             filtered += dropped
-            if len(ids):
-                work.append((ids, matrix))
-        computed = sum(len(ids) for ids, _ in work)
-        total_elements = sum(matrix.size for _, matrix in work)
+            if len(matrix):
+                work.append((entry.asset_ids, rows, matrix))
+        computed = sum(len(matrix) for _, _, matrix in work)
+        total_elements = sum(matrix.size for _, _, matrix in work)
         workers = max(
             1, min(self._config.device.worker_threads, len(work))
         )
@@ -893,12 +901,12 @@ class QueryExecutor:
                 continue
             start = time.perf_counter()
             scanned += len(entry)
-            ids, matrix, dropped = _masked(entry, qualifying_ids)
+            rows, matrix, dropped = _masked(entry, qualifying_ids)
             filtered += dropped
-            if len(ids):
-                computed += len(ids)
+            if len(matrix):
+                computed += len(matrix)
                 dist = distances_to_one(query, matrix, self._config.metric)
-                push_topk(heap, ids, dist, k)
+                push_topk(heap, entry.asset_ids, dist, k, rows)
             compute_time += time.perf_counter() - start
         outcome = _ScanOutcome(
             vectors_scanned=scanned,
@@ -950,13 +958,13 @@ class QueryExecutor:
         def score(state: _ScanState, entry: CachedPartition) -> None:
             try:
                 state.scanned += len(entry)
-                ids, matrix, dropped = _masked(entry, qualifying_ids)
+                rows, matrix, dropped = _masked(entry, qualifying_ids)
                 state.filtered += dropped
-                if not len(ids):
+                if not len(matrix):
                     return
-                state.computed += len(ids)
+                state.computed += len(matrix)
                 dist = distances_to_one(query, matrix, metric)
-                push_topk(state.heap, ids, dist, k)
+                push_topk(state.heap, entry.asset_ids, dist, k, rows)
             finally:
                 if entry.lease is not None:
                     entry.lease.release()
@@ -989,16 +997,13 @@ class QueryExecutor:
         )
 
     def _scan_work(
-        self,
-        work: list[tuple[list[str] | tuple[str, ...], np.ndarray]],
-        query: np.ndarray,
-        k: int,
+        self, work: list[_Work], query: np.ndarray, k: int
     ) -> TopKHeap:
         """One worker's share: batched distances into a bounded heap."""
         heap = TopKHeap(k)
-        for ids, matrix in work:
+        for ids, rows, matrix in work:
             dist = distances_to_one(query, matrix, self._config.metric)
-            push_topk(heap, ids, dist, k)
+            push_topk(heap, ids, dist, k, rows)
         return heap
 
     # ------------------------------------------------------------------
@@ -1064,21 +1069,19 @@ class QueryExecutor:
         io_time = time.perf_counter() - io_start
 
         compute_start = time.perf_counter()
-        approx_work: list[tuple[list[str] | tuple[str, ...], np.ndarray]] = []
-        exact_work: list[tuple[list[str] | tuple[str, ...], np.ndarray]] = []
+        approx_work: list[_Work] = []
+        exact_work: list[_Work] = []
         scanned = filtered = 0
         for entry, is_codes in loaded:
             scanned += len(entry)
-            ids, matrix, dropped = _masked(entry, qualifying_ids)
+            rows, matrix, dropped = _masked(entry, qualifying_ids)
             filtered += dropped
-            if len(ids):
+            if len(matrix):
                 bucket = approx_work if is_codes else exact_work
-                bucket.append((ids, matrix))
+                bucket.append((entry.asset_ids, rows, matrix))
         rerank_pool = max(k, self._config.rerank_factor * k)
-        computed = sum(len(ids) for ids, _ in approx_work) + sum(
-            len(ids) for ids, _ in exact_work
-        )
-        total_elements = sum(m.size for _, m in approx_work)
+        computed = sum(len(m) for _, _, m in approx_work + exact_work)
+        total_elements = sum(m.size for _, _, m in approx_work)
         workers = max(
             1,
             min(self._config.device.worker_threads, len(approx_work)),
@@ -1158,18 +1161,20 @@ class QueryExecutor:
                 continue
             start = time.perf_counter()
             scanned += len(entry)
-            ids, matrix, dropped = _masked(entry, qualifying_ids)
+            rows, matrix, dropped = _masked(entry, qualifying_ids)
             filtered += dropped
-            if len(ids):
-                computed += len(ids)
+            if len(matrix):
+                computed += len(matrix)
                 if is_codes:
                     dist = scorer(matrix)
-                    push_topk(approx, ids, dist, rerank_pool)
+                    push_topk(
+                        approx, entry.asset_ids, dist, rerank_pool, rows
+                    )
                 else:
                     dist = distances_to_one(
                         query, matrix, self._config.metric
                     )
-                    push_topk(exact, ids, dist, k)
+                    push_topk(exact, entry.asset_ids, dist, k, rows)
             compute_time += time.perf_counter() - start
         rerank_heap, reranked = self._rerank(
             merge_topk([approx], rerank_pool), query, k
@@ -1236,17 +1241,18 @@ class QueryExecutor:
             entry, is_codes = payload
             try:
                 state.scanned += len(entry)
-                ids, matrix, dropped = _masked(entry, qualifying_ids)
+                rows, matrix, dropped = _masked(entry, qualifying_ids)
                 state.filtered += dropped
-                if not len(ids):
+                if not len(matrix):
                     return
-                state.computed += len(ids)
+                state.computed += len(matrix)
+                ids = entry.asset_ids
                 if is_codes:
                     dist = scorer(matrix)
-                    push_topk(state.approx, ids, dist, rerank_pool)
+                    push_topk(state.approx, ids, dist, rerank_pool, rows)
                 else:
                     dist = distances_to_one(query, matrix, metric)
-                    push_topk(state.exact, ids, dist, k)
+                    push_topk(state.exact, ids, dist, k, rows)
             finally:
                 if entry.lease is not None:
                     entry.lease.release()
@@ -1291,10 +1297,7 @@ class QueryExecutor:
         )
 
     def _scan_codes_work(
-        self,
-        work: list[tuple[list[str] | tuple[str, ...], np.ndarray]],
-        scorer,
-        capacity: int,
+        self, work: list[_Work], scorer, capacity: int
     ) -> TopKHeap:
         """One worker's share of the coded-partition scan.
 
@@ -1303,9 +1306,8 @@ class QueryExecutor:
         not once per worker.
         """
         heap = TopKHeap(capacity)
-        for ids, codes in work:
-            dist = scorer(codes)
-            push_topk(heap, ids, dist, capacity)
+        for ids, rows, codes in work:
+            push_topk(heap, ids, scorer(codes), capacity, rows)
         return heap
 
     def _rerank(
@@ -1317,22 +1319,17 @@ class QueryExecutor:
         rows — the small, bounded I/O that buys exactness back after
         the quantized scan.
         """
-        heap = TopKHeap(k)
-        if not candidates:
-            return heap, 0
-        found, matrix = self._engine.fetch_vectors_by_asset_ids(
-            [c.asset_id for c in candidates]
-        )
-        if found:
-            dist = distances_to_one(query, matrix, self._config.metric)
-            for aid, d in zip(found, dist):
-                heap.push(aid, float(d))
-        return heap, len(found)
+        asset_ids, _ = candidates
+        if not asset_ids:
+            return TopKHeap(k), 0
+        found, matrix = self._engine.fetch_vectors_by_asset_ids(asset_ids)
+        return self._scan_work([(found, None, matrix)], query, k), len(found)
 
     def _finalize(
         self, heaps: list[TopKHeap], k: int
     ) -> tuple[Neighbor, ...]:
-        """Parallel heap merge + canonical surfaced ordering."""
+        """Accumulator merge (asset-id strings are resolved here, for
+        the K survivors only) + canonical surfaced ordering."""
         return surfaced_neighbors(
             merge_topk(heaps, k), self._config.metric
         )

@@ -1,268 +1,230 @@
-"""Bounded top-K heaps and the parallel heap merge (paper §3.3).
+"""Array-native bounded top-K accumulators and their merge (paper §3.3).
 
-Each worker thread scanning partitions keeps its own :class:`TopKHeap`
-— a max-heap of size at most K whose root is the *worst* retained
-candidate, so a new candidate is admitted in O(log K) only when it beats
-the current worst (Algorithm 2, lines 7–10). When all workers finish,
-:func:`merge_topk` combines the per-thread heaps into the final ranked
-list.
+Each worker scanning partitions owns a :class:`TopKHeap`. It is not a
+heap of objects: a scanned partition is folded in as one *chunk* — a
+reference to the partition's asset-id sequence, an owned distance array
+and the row positions those distances belong to — with a constant
+number of NumPy calls (:func:`push_topk`). Rows that can no longer reach
+the top K are pruned against the running K-th distance, and the chunks
+are compacted with ``np.partition`` once they hold more than a fixed
+multiple of K rows, so an accumulator retains O(K + one partition) rows.
 
-Ties are broken deterministically on ``asset_id`` so that results are
-stable across thread schedules and platforms.
+Asset-id strings are payload, not index: nothing on the scan path reads
+them. :func:`merge_topk` cuts the concatenated distances down to the K
+best (plus ties) first and resolves id strings only for those survivors,
+where it applies the ordering contract of the library — rank by
+``(distance, asset_id)``, duplicate ids keep their closest occurrence.
+:func:`surfaced_neighbors` then converts the survivors to user-facing
+distances in one vectorised pass.
+
+Distances keep the dtype they arrive in: float32 from the scan kernels,
+float64 in the sharded gather merge (which ranks surfaced distances).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from repro.core.types import Neighbor
+
+#: Retained rows, as a multiple of the capacity, above which an
+#: accumulator compacts down to its K best (plus ties).
+_COMPACT_FACTOR = 8
+
+_INF = float("inf")
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    """One scored candidate in a top-K computation."""
+def _smallest(dist: np.ndarray, count: int) -> np.ndarray:
+    """Positions of the ``count`` smallest values and every tie with
+    the last of them (all positions when there are no more rows)."""
+    if count >= dist.shape[0]:
+        return np.arange(dist.shape[0])
+    kth = np.partition(dist, count - 1)[count - 1]
+    return np.flatnonzero(dist <= kth)
 
-    asset_id: str
-    distance: float
+
+def _within(
+    dist: np.ndarray, rows: np.ndarray | None, bound: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ``(distances, rows)`` at or under ``bound`` (``rows`` is
+    ``None`` for every position in order). Rows tied with the bound
+    stay: a tie can still win on the asset-id tie-break."""
+    keep = np.flatnonzero(dist <= bound)
+    if keep.shape[0] == dist.shape[0]:
+        return dist, rows
+    return dist[keep], keep if rows is None else rows[keep]
 
 
 class TopKHeap:
-    """Fixed-capacity max-heap keeping the K smallest distances.
+    """Fixed-capacity accumulator of the K smallest distances offered.
 
-    Python's :mod:`heapq` is a min-heap, so entries are stored with
-    negated distance; the root is then the largest (worst) retained
-    distance. Tie-break keys make (distance, asset_id) ordering total.
+    Holds ``(asset_ids, distances, rows)`` chunks: ``distances[i]`` is
+    the distance of ``asset_ids[rows[i]]``. Not thread-safe: one per
+    worker (or per scheduled query, under the task's lock), merged with
+    :func:`merge_topk` after the join.
     """
 
-    __slots__ = ("_capacity", "_heap")
+    __slots__ = ("_capacity", "_chunks", "_retained", "_bound", "_stale")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._capacity = capacity
-        # Entries are (-distance, reversed_tiebreak, asset_id).
-        self._heap: list[tuple[float, _ReverseStr, str]] = []
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
+        self._chunks: list[tuple[Sequence[str], np.ndarray, np.ndarray]] = []
+        self._retained = 0
+        # An upper bound on the K-th smallest distance offered so far
+        # (the pruning threshold); exact unless rows were retained
+        # since it was last computed (``_stale``).
+        self._bound = _INF
+        self._stale = False
 
     def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, asset_id: str, distance: float) -> bool:
-        """Offer a candidate; returns True if it was retained."""
-        entry = (-distance, _ReverseStr(asset_id), asset_id)
-        if len(self._heap) < self._capacity:
-            heapq.heappush(self._heap, entry)
-            return True
-        worst = self._heap[0]
-        if entry > worst:
-            # Smaller distance (or equal distance with smaller asset_id)
-            # compares greater under the negated ordering.
-            heapq.heapreplace(self._heap, entry)
-            return True
-        return False
-
-    def push_candidates(self, candidates) -> None:
-        """Offer an iterable of :class:`Candidate` objects in order."""
-        for cand in candidates:
-            self.push(cand.asset_id, cand.distance)
+        """Rows counting toward the top K (at most the capacity)."""
+        return min(self._retained, self._capacity)
 
     def worst_distance(self) -> float:
-        """Current admission threshold (+inf while not yet full)."""
-        if len(self._heap) < self._capacity:
-            return float("inf")
-        return -self._heap[0][0]
+        """The exact K-th smallest distance offered so far — the
+        admission threshold (+inf while fewer than K rows were)."""
+        if self._stale:
+            self._stale = False
+            if self._retained >= self._capacity:
+                dist = np.concatenate([d for _, d, _ in self._chunks])
+                k = self._capacity
+                self._bound = float(np.partition(dist, k - 1)[k - 1])
+        return self._bound
 
-    def candidates(self) -> list[Candidate]:
-        """Retained candidates in no particular order."""
-        return [
-            Candidate(asset_id=aid, distance=-neg)
-            for neg, _, aid in self._heap
-        ]
+    def _fold(
+        self,
+        asset_ids: Sequence[str],
+        dist: np.ndarray,
+        rows: np.ndarray | None,
+    ) -> None:
+        """Retain one partition's rows that can still reach the top K
+        (a stale bound only ever keeps a superset of them)."""
+        if self._bound != _INF:
+            dist, rows = _within(dist, rows, self._bound)
+            if not dist.shape[0]:
+                return
+        if rows is None:
+            rows = np.arange(dist.shape[0])
+        if dist.base is not None:
+            # Own what is retained: a view would pin the buffer it was
+            # cut from (a GEMM output row, a scratch-pool lease).
+            dist = dist.copy()
+        self._chunks.append((asset_ids, dist, rows))
+        self._retained += dist.shape[0]
+        self._stale = True
+        if self._retained > _COMPACT_FACTOR * self._capacity:
+            self._compact()
 
-    def sorted_candidates(self) -> list[Candidate]:
-        """Retained candidates, closest first (deterministic ties)."""
-        return sorted(
-            self.candidates(), key=lambda c: (c.distance, c.asset_id)
-        )
-
-
-class _ReverseStr:
-    """String wrapper with inverted ordering.
-
-    In the negated-distance heap, a *larger* tuple means a *better*
-    candidate. For equal distances we prefer the lexicographically
-    smaller asset id, so the id must compare larger when it is smaller.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: str) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_ReverseStr") -> bool:
-        return self.value > other.value
-
-    def __le__(self, other: "_ReverseStr") -> bool:
-        return self.value >= other.value
-
-    def __gt__(self, other: "_ReverseStr") -> bool:
-        return self.value < other.value
-
-    def __ge__(self, other: "_ReverseStr") -> bool:
-        return self.value <= other.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ReverseStr) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-
-def merge_candidate_streams(
-    streams: list[list[Candidate]], k: int
-) -> list[Candidate]:
-    """K-way merge of sorted candidate streams into a global top-K.
-
-    This is the single ordering contract of the library: candidates
-    rank by ``(distance, asset_id)`` — ties broken lexicographically on
-    the id — and duplicate ids keep their closest occurrence only. The
-    per-thread heap merge below and the sharded engine's cross-shard
-    gather stage (:mod:`repro.shard.merge`) both route through here, so
-    a sharded database cannot drift from the unsharded tie-break rules.
-
-    Each input stream must already be sorted by ``(distance,
-    asset_id)``; the merge stops as soon as K results are emitted, so
-    it is O(K log S) for S streams after the per-stream sorts.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    merged = heapq.merge(
-        *(s for s in streams if s),
-        key=lambda c: (c.distance, c.asset_id),
-    )
-    out: list[Candidate] = []
-    seen: set[str] = set()
-    for cand in merged:
-        # The same asset can surface from multiple streams if a vector
-        # was observed both in its partition and in the delta during a
-        # concurrent flush; keep the closest occurrence only.
-        if cand.asset_id in seen:
-            continue
-        seen.add(cand.asset_id)
-        out.append(cand)
-        if len(out) == k:
-            break
-    return out
-
-
-def merge_topk(heaps: list[TopKHeap], k: int) -> list[Candidate]:
-    """Merge per-thread heaps into the global top-K, closest first."""
-    return merge_candidate_streams(
-        [h.sorted_candidates() for h in heaps if len(h) > 0], k
-    )
-
-
-def surfaced_neighbors(candidates, metric: str):
-    """Convert ranked candidates to surfaced, canonically ordered
-    :class:`~repro.core.types.Neighbor` tuples.
-
-    The candidates arrive ordered by *internal* distance (squared L2);
-    surfacing applies ``sqrt``, which is monotone but can collapse two
-    adjacent float32 values into one — leaving a pair ordered by an
-    internal difference the caller can no longer observe. The re-sort
-    here makes the *public* ordering contract self-contained: ranked
-    by ``(surfaced distance, asset_id)``, nothing else. Every surface
-    point routes through this function — the serial executor, the
-    batch executor, the serving scheduler and (transitively) the
-    sharded gather merge — so all of them share one contract, and a
-    sharded database (which can only merge on surfaced values) orders
-    exactly like an unsharded one even across sqrt collisions. The
-    sort is O(k log k) on already-ordered data, only ever permuting
-    true surfaced ties.
-    """
-    from repro.core.types import Neighbor
-    from repro.query.distance import surface_distance
-
-    surfaced = [
-        (surface_distance(c.distance, metric), c.asset_id)
-        for c in candidates
-    ]
-    surfaced.sort()
-    return tuple(
-        Neighbor(asset_id=aid, distance=d) for d, aid in surfaced
-    )
+    def _compact(self) -> None:
+        """Drop every retained row beyond the K-th smallest distance."""
+        bound = self.worst_distance()
+        chunks = []
+        for asset_ids, dist, rows in self._chunks:
+            dist, rows = _within(dist, rows, bound)
+            if dist.shape[0]:
+                chunks.append((asset_ids, dist, rows))
+        self._chunks = chunks
+        self._retained = sum(len(dist) for _, dist, _ in chunks)
 
 
 def push_topk(
     heap: TopKHeap,
-    asset_ids: list[str] | tuple[str, ...],
+    asset_ids: Sequence[str],
     distances,
     k: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> None:
-    """Fold one partition's distance vector into a bounded heap.
+    """Fold one partition's distance vector into an accumulator.
 
-    Equivalent to ``heap.push_candidates(topk_from_distances(...))``
-    — bit-identical retained set — but prunes against the heap's
-    current worst *before* any per-candidate Python work: a row whose
-    distance exceeds the current k-th candidate can never be retained
-    (``push`` would reject it), so it never becomes a ``Candidate``
-    object or a heap operation. With partitions scanned in centroid-
-    distance order the bound tightens after the first partition and
-    the per-partition object churn collapses from O(pool) to O(rows
-    that can still win) — the difference that keeps deep rerank pools
-    (PQ wants ``rerank_factor`` 8-16) off the scan's critical path,
-    and off the GIL that the pipeline's I/O threads share. Rows tied
-    with the worst are kept: a tie can still win on the asset-id
-    tie-break. The bound is read once (stale-but-conservative while
-    the loop pushes): only ever a superset of what ``push`` retains.
+    ``distances[i]`` belongs to ``asset_ids[i]``, or to
+    ``asset_ids[rows[i]]`` when ``rows`` (the positions a filter kept)
+    is given. ``k`` is accepted for the historical call shape only: the
+    cut is always the accumulator's capacity.
     """
-    import numpy as np
-
     dist = np.asarray(distances)
-    if dist.shape[0] == 0:
-        return
-    worst = heap.worst_distance()
-    if worst != float("inf"):
-        idx = np.flatnonzero(dist <= worst)
-        if idx.size == 0:
-            return
-        asset_ids = [asset_ids[i] for i in idx]
-        dist = dist[idx]
-    for cand in topk_from_distances(
-        asset_ids, dist, heap.capacity if k is None else k
-    ):
-        heap.push(cand.asset_id, cand.distance)
-
-
-def topk_from_distances(
-    asset_ids: list[str] | tuple[str, ...],
-    distances,
-    k: int,
-) -> list[Candidate]:
-    """Vectorized top-K over a dense distance array (one partition).
-
-    ``np.argpartition`` selects the K best in O(n), then only those K
-    are sorted. Used when a whole partition's distances are computed in
-    one kernel call and the heap-per-element path would be pure Python
-    overhead.
-    """
-    import numpy as np
-
-    dist = np.asarray(distances)
-    n = dist.shape[0]
-    if n != len(asset_ids):
+    if dist.shape[0] != (len(asset_ids) if rows is None else len(rows)):
         raise ValueError("asset_ids and distances length mismatch")
-    if n == 0:
-        return []
-    take = min(k, n)
-    # Include every row tied with the k-th distance so tie-breaking on
-    # asset_id is deterministic (matching the heap path's ordering).
-    kth = np.partition(dist, take - 1)[take - 1]
-    idx = np.flatnonzero(dist <= kth)
-    pairs = sorted(
-        ((float(dist[i]), asset_ids[i]) for i in idx),
-        key=lambda p: (p[0], p[1]),
-    )[:take]
-    return [Candidate(asset_id=aid, distance=d) for d, aid in pairs]
+    if dist.shape[0]:
+        heap._fold(asset_ids, dist, rows)
+
+
+def merge_topk(
+    heaps: list[TopKHeap], k: int
+) -> tuple[list[str], np.ndarray]:
+    """Merge accumulators into the global top-K, closest first.
+
+    Returns ``(asset_ids, distances)`` ranked by ``(distance,
+    asset_id)``, duplicate ids keeping their closest occurrence (an
+    asset can be seen both in its partition and in the delta during a
+    concurrent flush). Id strings are read only for the rows that
+    survive the distance cut; the cut widens when de-duplication leaves
+    fewer than K while rows remain.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    chunks = [chunk for heap in heaps for chunk in heap._chunks]
+    if not chunks:
+        return [], np.empty(0, dtype=np.float32)
+    sequences = [ids for ids, _, _ in chunks]
+    dist = np.concatenate([d for _, d, _ in chunks])
+    rows = np.concatenate([r for _, _, r in chunks])
+    source = np.repeat(
+        np.arange(len(chunks)), [len(d) for _, d, _ in chunks]
+    )
+    take = k
+    while True:
+        cut = _smallest(dist, take)
+        cut = cut[np.argsort(dist[cut], kind="stable")]
+        ranked = dist[cut]
+        asset_ids = [
+            sequences[chunk][row]
+            for chunk, row in zip(source[cut].tolist(), rows[cut].tolist())
+        ]
+        if (ranked[1:] == ranked[:-1]).any() or len(set(asset_ids)) < len(
+            asset_ids
+        ):
+            # Tied distances rank by asset id; a repeated id keeps its
+            # closest occurrence. Otherwise the numeric order stands.
+            closest: dict[str, float] = {}
+            for d, asset_id in sorted(zip(ranked.tolist(), asset_ids)):
+                closest.setdefault(asset_id, d)
+            asset_ids = list(closest)
+            ranked = np.array(list(closest.values()), dtype=dist.dtype)
+        if len(asset_ids) >= k or cut.shape[0] == dist.shape[0]:
+            return asset_ids[:k], ranked[:k]
+        take = cut.shape[0] + k - len(asset_ids)
+
+
+def surfaced_neighbors(
+    merged: tuple[list[str], np.ndarray], metric: str
+) -> tuple[Neighbor, ...]:
+    """Convert :func:`merge_topk` output to surfaced, canonically
+    ordered :class:`~repro.core.types.Neighbor` tuples.
+
+    The input is ordered by *internal* distance (squared L2); surfacing
+    applies ``sqrt`` — in float64, element-wise what
+    :func:`repro.query.distance.surface_distance` computes — which is
+    monotone but can collapse two adjacent values into one, leaving a
+    pair ordered by an internal difference the caller can no longer
+    observe. The re-sort here makes the *public* ordering contract
+    self-contained: ranked by ``(surfaced distance, asset_id)``,
+    nothing else. Every surface point routes through this function —
+    the serial executor, the batch executor, the serving scheduler and
+    (transitively) the sharded gather merge — so all of them share one
+    contract, and a sharded database (which can only merge on surfaced
+    values) orders exactly like an unsharded one even across sqrt
+    collisions. Surfacing is monotone, so the input order stands
+    unless two surfaced values are equal; only then is it re-sorted.
+    """
+    asset_ids, dist = merged
+    surfaced = dist.astype(np.float64)
+    if metric == "l2":
+        surfaced = np.sqrt(np.maximum(surfaced, 0.0))
+    distances = surfaced.tolist()
+    if (surfaced[1:] == surfaced[:-1]).any():
+        distances, asset_ids = zip(*sorted(zip(distances, asset_ids)))
+    return tuple(map(Neighbor, asset_ids, distances))

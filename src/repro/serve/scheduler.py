@@ -57,7 +57,7 @@ from repro.core.types import PlanKind, QueryStats, SearchResult
 from repro.obs.metrics import WAIT_MS_BUCKETS
 from repro.query.distance import distances_to_one, make_code_scorer
 from repro.query.executor import QueryExecutor, _masked, adaptive_skip
-from repro.query.heap import TopKHeap, merge_topk, topk_from_distances
+from repro.query.heap import TopKHeap, merge_topk, push_topk
 from repro.query.pipeline import is_partition_cold
 from repro.storage.engine import _ROW_OVERHEAD_BYTES, StorageEngine
 
@@ -191,7 +191,7 @@ class _ScanTask:
 
         Exactly the serial scan's per-partition numerics: one
         ``distances_to_one`` (or fused int8) call for this query alone,
-        then the deterministic ``topk_from_distances`` push.
+        then the same ``push_topk`` fold, under the task's lock.
         """
         with self.lock:
             if self.finished or self.failed:
@@ -203,29 +203,27 @@ class _ScanTask:
                 return
         if not len(entry):
             return
-        ids, matrix, dropped = _masked(entry, self.qualifying_ids)
-        candidates = None
-        keep = self.k
-        if len(ids):
+        rows, matrix, dropped = _masked(entry, self.qualifying_ids)
+        dist = None
+        if len(matrix):
             if is_codes:
-                keep = self.rerank_pool
                 dist = self.scorer(matrix)
             else:
                 dist = distances_to_one(self.query, matrix, metric)
-            candidates = topk_from_distances(ids, dist, keep)
         with self.lock:
             if self.finished or self.failed:
                 return
             self.scanned += len(entry)
             self.filtered += dropped
-            if candidates is not None:
-                self.computed += len(ids)
+            if dist is not None:
+                self.computed += len(matrix)
                 if is_codes:
-                    self.approx.push_candidates(candidates)
+                    heap = self.approx
                 elif self.exact is not None:
-                    self.exact.push_candidates(candidates)
+                    heap = self.exact
                 else:
-                    self.heap.push_candidates(candidates)
+                    heap = self.heap
+                push_topk(heap, entry.asset_ids, dist, rows=rows)
 
     def partition_done(self, pid: int) -> bool:
         """Mark one probe-set partition resolved; True when last."""
@@ -545,10 +543,9 @@ class QueryScheduler:
         margin = self._config.adaptive_nprobe_margin
         with self._cv:
             for task, cdist in job.waiters:
-                # Snapshot under the task lock: a compute thread
-                # mid-heap-push can leave a transiently-too-small root
-                # that an unlocked worst_distance() read would mistake
-                # for the k-th bound.
+                # Snapshot under the task lock: worst_distance()
+                # reads — and caches into — the accumulator a compute
+                # thread may be folding a partition into.
                 with task.lock:
                     if task.finished:
                         continue
@@ -778,6 +775,8 @@ class QueryScheduler:
             task.failed = True
             already_finished = task.finished
             task.finished = True
+        if not already_finished:
+            self._m_resolved.inc(outcome="failed")
         if not task.future.done():
             task.future.set_exception(exc)
         if not already_finished:
@@ -788,6 +787,11 @@ class QueryScheduler:
             task.finished = True
             if exc is not None:
                 task.failed = True
+        # Counted before the future resolves: a caller back from
+        # result() must find its query in the metrics.
+        self._m_resolved.inc(
+            outcome="failed" if exc is not None else "completed"
+        )
         if exc is not None:
             if not task.future.done():
                 task.future.set_exception(exc)
@@ -805,7 +809,6 @@ class QueryScheduler:
             else:
                 self._completed += 1
             self._cv.notify_all()
-        self._m_resolved.inc(outcome="failed" if failed else "completed")
         self._pump()
 
     @property

@@ -4,11 +4,11 @@ Every read on a :class:`~repro.shard.ShardedMicroNN` fans out to all
 shards and comes back through here. Two jobs:
 
 1. **Top-k merge.** Each shard returns its own ranked top-k; the
-   global top-k is a k-way merge through
-   :func:`repro.query.heap.merge_candidate_streams` — the *same*
-   function the unsharded executor's heap merge uses — so the sharded
-   ordering contract is the unsharded one by construction: rank by
-   ``(distance, asset_id)``, ties broken lexicographically on the id.
+   global top-k is :func:`repro.query.heap.merge_topk` over them — the
+   *same* function the unsharded executor merges its per-worker
+   accumulators with — so the sharded ordering contract is the
+   unsharded one by construction: rank by ``(distance, asset_id)``,
+   ties broken lexicographically on the id.
    Shards partition the id space disjointly (hash routing), so no
    cross-shard duplicates exist; the merge's dedup is kept anyway as a
    cheap invariant net for custom routers that might violate
@@ -50,7 +50,7 @@ from repro.core.types import (
     QueryStats,
     SearchResult,
 )
-from repro.query.heap import Candidate, merge_candidate_streams
+from repro.query.heap import TopKHeap, merge_topk, push_topk
 
 #: Severity order of maintenance actions; aggregation and the
 #: facade's ``recommended_action`` both report the heaviest.
@@ -85,15 +85,21 @@ class ShardedSearchResult(SearchResult):
 def merge_neighbors(
     per_shard: Sequence[Sequence[Neighbor]], k: int
 ) -> tuple[Neighbor, ...]:
-    """Merge per-shard ranked neighbor lists into the global top-k."""
-    streams = [
-        [Candidate(n.asset_id, n.distance) for n in neighbors]
-        for neighbors in per_shard
-    ]
-    return tuple(
-        Neighbor(asset_id=c.asset_id, distance=c.distance)
-        for c in merge_candidate_streams(streams, k)
-    )
+    """Merge per-shard neighbor lists into the global top-k.
+
+    A list may be longer than ``k`` and may repeat an id, so the
+    accumulator is sized to the input: nothing is cut before
+    :func:`merge_topk` has de-duplicated.
+    """
+    heap = TopKHeap(max(1, sum(len(neighbors) for neighbors in per_shard)))
+    for neighbors in per_shard:
+        push_topk(
+            heap,
+            [n.asset_id for n in neighbors],
+            [n.distance for n in neighbors],
+        )
+    asset_ids, distances = merge_topk([heap], k)
+    return tuple(map(Neighbor, asset_ids, distances.tolist()))
 
 
 def merge_search_results(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Eq, Gt, MicroNN, MicroNNConfig, PlanKind
+from repro.core.errors import FilterError
+from repro.core.types import MaintenanceAction
 from tests.conftest import brute_force_ids
 
 
@@ -216,3 +218,79 @@ class TestBatchSearch:
         assert len(batch) == 1
         single = populated_db.search(vectors[0], k=5, nprobe=4)
         assert batch[0].asset_ids == single.asset_ids
+
+
+class TestNonFiniteQueries:
+    """A NaN/inf query has no nearest neighbours; every entry point
+    refuses it with the dimension check's error instead of returning
+    an empty result."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_on_every_entry_point(self, populated_db, vectors, bad):
+        query = vectors[0].copy()
+        query[3] = bad
+        with pytest.raises(FilterError, match="NaN or infinity"):
+            populated_db.search(query, k=5)
+        with pytest.raises(FilterError, match="NaN or infinity"):
+            populated_db.search(query, k=5, exact=True)
+        with pytest.raises(FilterError, match="NaN or infinity"):
+            populated_db.search(query, k=5, filters=Eq("color", "red"))
+        with pytest.raises(FilterError, match="NaN or infinity"):
+            populated_db.search_async(query, k=5)
+        batch = vectors[:4].copy()
+        batch[2] = query
+        with pytest.raises(FilterError, match="NaN or infinity"):
+            populated_db.search_batch(batch, k=5)
+
+
+class TestPlannerPartitionTarget:
+    """The hybrid planner needs the average indexed partition size on
+    every filtered query; it must not rebuild IndexStats for it."""
+
+    def test_filtered_searches_do_not_rescan_partition_sizes(
+        self, populated_db, vectors, monkeypatch
+    ):
+        engine = populated_db.engine
+        calls = []
+        real = engine.partition_sizes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "partition_sizes", counting)
+        stats = populated_db.index_stats()
+        calls.clear()
+        for i in range(50):
+            populated_db.search(
+                vectors[i], k=5, filters=Gt("size", 100 + i % 3)
+            )
+        assert len(calls) <= 1
+        assert populated_db._current_partition_target() == round(
+            stats.avg_partition_size
+        )
+
+    def test_write_invalidates_cached_target(self, tmp_path, rng):
+        config = MicroNNConfig(
+            dim=8, target_cluster_size=10, kmeans_iterations=5
+        )
+        with MicroNN.open(tmp_path / "t.db", config) as db:
+            assert db._current_partition_target() == 10  # unindexed
+            db.upsert_batch(
+                (f"a{i:03d}", rng.normal(size=8).astype(np.float32))
+                for i in range(60)
+            )
+            db.build_index()
+            partitions = db.index_stats().num_partitions
+            assert db._current_partition_target() == round(60 / partitions)
+            # A delete shrinks the indexed partitions at once; an upsert
+            # lands in the delta and only counts once a flush moves it.
+            db.delete_batch([f"a{i:03d}" for i in range(30)])
+            assert db._current_partition_target() == round(30 / partitions)
+            db.upsert_batch(
+                (f"b{i:03d}", rng.normal(size=8).astype(np.float32))
+                for i in range(90)
+            )
+            assert db._current_partition_target() == round(30 / partitions)
+            db.maintain(force=MaintenanceAction.INCREMENTAL_FLUSH)
+            assert db._current_partition_target() == round(120 / partitions)

@@ -1,8 +1,18 @@
-"""Property-based tests for the top-K heap machinery.
+"""Property-based tests for the top-K accumulator machinery.
 
-The heaps are the correctness core of Algorithm 2: any bug here silently
-corrupts every search result, so we pin their behaviour against a
-trivial sorted-list oracle under arbitrary inputs.
+The accumulators are the correctness core of Algorithm 2: any bug here
+silently corrupts every search result, so one oracle pins
+``push_topk`` / ``merge_topk`` / ``surfaced_neighbors`` against a
+trivial dict-and-sort under arbitrary chunkings.
+
+The object-heap suite this replaces is covered as follows:
+``test_heap_keeps_k_smallest``, ``test_sharded_merge_equals_global_topk``,
+``test_merge_invariant_to_sharding`` and
+``TestVectorizedTopK::test_matches_heap_path`` are all instances of
+``test_accumulators_match_oracle`` (any chunking, any split across
+accumulators, against the global sort); ``test_heap_size_bounded`` and
+``test_worst_distance_is_admission_threshold`` are its per-push
+``len`` / ``worst_distance`` checks.
 """
 
 from __future__ import annotations
@@ -11,125 +21,131 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.heap import TopKHeap, merge_topk, topk_from_distances
-
-distances = st.floats(
-    min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-entries = st.lists(
-    st.tuples(st.text(min_size=1, max_size=8), distances),
-    min_size=0,
-    max_size=200,
+from repro.query.distance import surface_distance
+from repro.query.heap import (
+    TopKHeap,
+    merge_topk,
+    push_topk,
+    surfaced_neighbors,
 )
 
+#: A handful of float32 values: heavy ties at every cut.
+tied_distances = st.sampled_from(
+    [float(np.float32(v)) for v in (0.0, 0.25, 1.0, 1.5, 7.0, 1e6)]
+)
+any_distances = st.floats(
+    min_value=0.0, max_value=1e6, allow_nan=False, width=32
+)
+#: Few distinct ids, so they repeat across chunks and accumulators.
+scored_ids = st.tuples(
+    st.integers(min_value=0, max_value=40).map("a{:03d}".format),
+    st.one_of(tied_distances, any_distances),
+)
 
-def oracle(pairs: list[tuple[str, float]], k: int) -> list[tuple[float, str]]:
-    """Ground truth: global sort with (distance, id) ordering, deduped
-    keeping each id's closest occurrence."""
+
+@st.composite
+def chunk(draw, part):
+    """One partition holding the ``(id, distance)`` rows of ``part``:
+    either as-is, or hidden at shuffled positions of a longer id
+    sequence and addressed through a row-index array (what a
+    post-filter mask keeps)."""
+    ids = [asset_id for asset_id, _ in part]
+    dist = np.array([d for _, d in part], dtype=np.float32)
+    if draw(st.booleans()):
+        return ids, dist, None
+    length = len(ids) + draw(st.integers(min_value=0, max_value=5))
+    rows = draw(st.permutations(range(length)))[: len(ids)]
+    sequence = ["filtered-out"] * length
+    for row, asset_id in zip(rows, ids):
+        sequence[row] = asset_id
+    return sequence, dist, np.array(rows, dtype=np.int64)
+
+
+@st.composite
+def accumulator_input(draw, unique_ids: bool):
+    """The chunks offered to one accumulator, randomly cut."""
+    pairs = draw(
+        st.lists(
+            scored_ids,
+            max_size=120,
+            unique_by=(lambda pair: pair[0]) if unique_ids else None,
+        )
+    )
+    chunks = []
+    while pairs:
+        size = draw(st.integers(min_value=1, max_value=len(pairs)))
+        chunks.append(draw(chunk(pairs[:size])))
+        pairs = pairs[size:]
+    return chunks
+
+
+#: (sized_to_input, chunks per accumulator). An accumulator of capacity
+#: K ranks rows, not ids — K copies of one id fill it — so ids may
+#: repeat *inside* one only when it is sized to its input (what
+#: ``merge_neighbors`` does, leaving the cut to the de-duplicating
+#: merge). Across accumulators ids repeat either way.
+scenarios = st.booleans().flatmap(
+    lambda sized: st.tuples(
+        st.just(sized),
+        st.lists(
+            accumulator_input(unique_ids=not sized), min_size=1, max_size=4
+        ),
+    )
+)
+
+
+def oracle(offered: list[tuple[str, float]], k: int):
+    """Global sort on (distance, id), each id's closest occurrence."""
     best: dict[str, float] = {}
-    for asset_id, dist in pairs:
+    for asset_id, dist in offered:
         if asset_id not in best or dist < best[asset_id]:
             best[asset_id] = dist
-    ranked = sorted((d, a) for a, d in best.items())
-    return ranked[:k]
+    return sorted(best.items(), key=lambda kv: (kv[1], kv[0]))[:k]
 
 
-class TestHeapAgainstOracle:
-    @given(entries, st.integers(min_value=1, max_value=50))
-    @settings(max_examples=200)
-    def test_heap_keeps_k_smallest(self, pairs, k):
-        heap = TopKHeap(k)
-        for asset_id, dist in pairs:
-            heap.push(asset_id, dist)
-        got = [(c.distance, c.asset_id) for c in heap.sorted_candidates()]
-        # Heap may retain duplicate ids (dedup happens at merge); the
-        # oracle for a single heap is the sorted multiset cut at k.
-        expected = sorted((d, a) for a, d in pairs)[:k]
-        assert got == expected
-
-    @given(entries, st.integers(min_value=1, max_value=20))
-    @settings(max_examples=200)
-    def test_heap_size_bounded(self, pairs, k):
-        heap = TopKHeap(k)
-        for asset_id, dist in pairs:
-            heap.push(asset_id, dist)
-        assert len(heap) <= k
-
-    @given(entries, st.integers(min_value=1, max_value=20))
-    @settings(max_examples=100)
-    def test_worst_distance_is_admission_threshold(self, pairs, k):
-        heap = TopKHeap(k)
-        for asset_id, dist in pairs:
-            heap.push(asset_id, dist)
-        threshold = heap.worst_distance()
-        # Any strictly-better candidate must be admitted.
-        assert heap.push("zzz-probe", threshold / 2 - 1e-9) or (
-            threshold == float("inf") and len(heap) == 0
-        ) or threshold == 0.0
-
-
-#: Candidate streams with globally unique asset ids — the system
-#: invariant: within one snapshot an asset lives in exactly one
-#: partition, so it reaches the heaps at most once.
-unique_entries = st.lists(
-    st.tuples(st.text(min_size=1, max_size=8), distances),
-    min_size=0,
-    max_size=200,
-    unique_by=lambda pair: pair[0],
-)
-
-
-class TestMergeAgainstOracle:
+class TestAccumulatorAgainstOracle:
     @given(
-        unique_entries,
-        st.integers(min_value=1, max_value=6),
+        scenarios,
         st.integers(min_value=1, max_value=30),
+        st.sampled_from(["l2", "cosine", "dot"]),
     )
-    @settings(max_examples=150)
-    def test_sharded_merge_equals_global_topk(self, pairs, num_shards, k):
-        """Splitting candidates across worker heaps then merging must
-        equal a single global top-K (the parallel-scan invariant)."""
-        heaps = [TopKHeap(k) for _ in range(num_shards)]
-        for i, (asset_id, dist) in enumerate(pairs):
-            heaps[i % num_shards].push(asset_id, dist)
-        got = [(c.distance, c.asset_id) for c in merge_topk(heaps, k)]
-        assert got == oracle(pairs, k)
+    @settings(max_examples=300, deadline=None)
+    def test_accumulators_match_oracle(self, scenario, k, metric):
+        sized_to_input, inputs = scenario
+        offered: list[tuple[str, float]] = []
+        # ``heaps`` are asked for their threshold after every push,
+        # which tightens their pruning bound; ``unprobed`` twins prune
+        # on the bound their own compactions left behind.
+        heaps, unprobed = [], []
+        for chunks in inputs:
+            total = sum(len(dist) for _, dist, _ in chunks)
+            capacity = max(1, total) if sized_to_input else k
+            heap = TopKHeap(capacity)
+            heaps.append(heap)
+            unprobed.append(TopKHeap(capacity))
+            seen: list[float] = []
+            for ids, dist, rows in chunks:
+                push_topk(heap, ids, dist, k, rows)
+                push_topk(unprobed[-1], ids, dist, k, rows)
+                picked = ids if rows is None else [ids[r] for r in rows]
+                offered.extend(zip(picked, dist.tolist()))
+                # The admission threshold is the exact capacity-th
+                # smallest distance offered so far, +inf below that.
+                seen = sorted(seen + dist.tolist())
+                assert heap.worst_distance() == (
+                    seen[capacity - 1]
+                    if len(seen) >= capacity
+                    else float("inf")
+                )
+                assert len(heap) == min(len(seen), capacity)
 
-    @given(unique_entries, st.integers(min_value=1, max_value=30),
-           st.integers(min_value=1, max_value=5))
-    @settings(max_examples=100)
-    def test_merge_invariant_to_sharding(self, pairs, k, num_shards):
-        """The same candidates produce the same top-K no matter how
-        they are distributed across threads."""
+        expected = oracle(offered, k)
+        merged_ids, merged_dist = merge_topk(heaps, k)
+        assert list(zip(merged_ids, merged_dist.tolist())) == expected
+        quiet_ids, quiet_dist = merge_topk(unprobed, k)
+        assert list(zip(quiet_ids, quiet_dist.tolist())) == expected
 
-        def run(shard_count: int):
-            heaps = [TopKHeap(k) for _ in range(shard_count)]
-            for i, (asset_id, dist) in enumerate(pairs):
-                heaps[i % shard_count].push(asset_id, dist)
-            return [
-                (c.distance, c.asset_id) for c in merge_topk(heaps, k)
-            ]
-
-        assert run(1) == run(num_shards)
-
-
-class TestVectorizedTopK:
-    @given(
-        st.lists(distances, min_size=0, max_size=150),
-        st.integers(min_value=1, max_value=30),
-    )
-    @settings(max_examples=150)
-    def test_matches_heap_path(self, dists, k):
-        ids = [f"a{i:04d}" for i in range(len(dists))]
-        arr = np.array(dists, dtype=np.float64)
-        vectorized = [
-            (c.distance, c.asset_id)
-            for c in topk_from_distances(ids, arr, k)
-        ]
-        heap = TopKHeap(k)
-        for asset_id, dist in zip(ids, dists):
-            heap.push(asset_id, dist)
-        via_heap = [
-            (c.distance, c.asset_id) for c in heap.sorted_candidates()
-        ]
-        assert vectorized == via_heap
+        neighbors = surfaced_neighbors((merged_ids, merged_dist), metric)
+        assert [(n.distance, n.asset_id) for n in neighbors] == sorted(
+            (surface_distance(d, metric), a) for a, d in expected
+        )

@@ -26,8 +26,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MicroNN, MicroNNConfig, ShardedMicroNN
+from repro.core.types import Neighbor
 from repro.query.filters import Eq, Ge
-from repro.query.heap import Candidate, merge_candidate_streams
+from repro.shard.merge import merge_neighbors
 
 #: Exhaustive probing on both sides (far above any partition count
 #: these collections produce).
@@ -241,13 +242,13 @@ class TestMergeContract:
             streams.append(
                 sorted(
                     (
-                        Candidate(f"a{i:04d}", float(d))
+                        Neighbor(f"a{i:04d}", float(d))
                         for i, d in pool
                     ),
                     key=lambda c: (c.distance, c.asset_id),
                 )
             )
-        merged = merge_candidate_streams(streams, k)
+        merged = merge_neighbors(streams, k)
         best: dict[str, float] = {}
         for stream in streams:
             for cand in stream:
@@ -257,10 +258,10 @@ class TestMergeContract:
                 ):
                     best[cand.asset_id] = cand.distance
         expected = sorted(
-            (Candidate(aid, d) for aid, d in best.items()),
+            (Neighbor(aid, d) for aid, d in best.items()),
             key=lambda c: (c.distance, c.asset_id),
         )[:k]
-        assert merged == expected
+        assert merged == tuple(expected)
 
     def test_surfacing_is_injective_and_tie_break_canonical(self):
         """The two properties the cross-shard distance contract rests
@@ -286,10 +287,10 @@ class TestMergeContract:
 
         tie = surface_distance(4.0, "l2")
         unsharded = surfaced_neighbors(
-            [Candidate("zz", 4.0), Candidate("aa", 4.0)], "l2"
+            (["zz", "aa"], np.array([4.0, 4.0], dtype=np.float32)), "l2"
         )
-        one_per_shard = merge_candidate_streams(
-            [[Candidate("zz", tie)], [Candidate("aa", tie)]], 2
+        one_per_shard = merge_neighbors(
+            [[Neighbor("zz", tie)], [Neighbor("aa", tie)]], 2
         )
         assert [n.asset_id for n in unsharded] == ["aa", "zz"]
         assert [c.asset_id for c in one_per_shard] == ["aa", "zz"]

@@ -1,13 +1,37 @@
-"""Bounded top-K heap and merge tests."""
+"""Array-native top-K accumulator and merge tests.
+
+Ported from the object-heap suite behaviour for behaviour. Tests that
+named a removed method are covered as follows:
+
+- ``test_push_returns_retained`` (``TopKHeap.push``'s return value is
+  gone with the method): retention is observable through
+  ``worst_distance`` — ``test_worst_distance_threshold`` — and the
+  merged result — ``test_keeps_k_smallest``.
+- ``TestTopKFromDistances`` (``topk_from_distances`` is gone): the
+  same five cases run through ``push_topk`` + ``merge_topk`` in
+  ``TestPushTopK``.
+"""
 
 import numpy as np
 import pytest
 
+from repro.query.distance import surface_distance
 from repro.query.heap import (
+    _COMPACT_FACTOR,
     TopKHeap,
     merge_topk,
-    topk_from_distances,
+    push_topk,
+    surfaced_neighbors,
 )
+
+
+def push(heap: TopKHeap, asset_id: str, distance: float) -> None:
+    push_topk(heap, [asset_id], np.array([distance]))
+
+
+def ranked(heaps, k):
+    ids, dist = merge_topk(heaps, k)
+    return list(zip(dist.tolist(), ids))
 
 
 class TestTopKHeap:
@@ -18,70 +42,100 @@ class TestTopKHeap:
     def test_keeps_k_smallest(self):
         heap = TopKHeap(3)
         for i, d in enumerate([5.0, 1.0, 4.0, 2.0, 3.0]):
-            heap.push(f"a{i}", d)
-        dists = [c.distance for c in heap.sorted_candidates()]
-        assert dists == [1.0, 2.0, 3.0]
-
-    def test_push_returns_retained(self):
-        heap = TopKHeap(2)
-        assert heap.push("a", 1.0) is True
-        assert heap.push("b", 2.0) is True
-        assert heap.push("c", 3.0) is False  # worse than both
-        assert heap.push("d", 0.5) is True
+            push(heap, f"a{i}", d)
+        assert [d for d, _ in ranked([heap], 3)] == [1.0, 2.0, 3.0]
 
     def test_worst_distance_threshold(self):
         heap = TopKHeap(2)
         assert heap.worst_distance() == float("inf")
-        heap.push("a", 1.0)
+        push(heap, "a", 1.0)
         assert heap.worst_distance() == float("inf")  # not yet full
-        heap.push("b", 3.0)
+        push(heap, "b", 3.0)
         assert heap.worst_distance() == 3.0
-        heap.push("c", 2.0)
+        push(heap, "c", 2.0)
         assert heap.worst_distance() == 2.0
+        push(heap, "d", 9.0)  # worse than both: not retained
+        assert heap.worst_distance() == 2.0
+        assert [a for _, a in ranked([heap], 2)] == ["a", "c"]
 
-    def test_sorted_candidates_deterministic_ties(self):
+    def test_deterministic_ties(self):
         heap = TopKHeap(3)
-        heap.push("b", 1.0)
-        heap.push("a", 1.0)
-        heap.push("c", 1.0)
-        ids = [c.asset_id for c in heap.sorted_candidates()]
-        assert ids == ["a", "b", "c"]
+        push(heap, "b", 1.0)
+        push(heap, "a", 1.0)
+        push(heap, "c", 1.0)
+        assert [a for _, a in ranked([heap], 3)] == ["a", "b", "c"]
 
     def test_tie_at_capacity_prefers_smaller_id(self):
         heap = TopKHeap(1)
-        heap.push("z", 1.0)
-        assert heap.push("a", 1.0) is True  # same distance, smaller id
-        assert heap.sorted_candidates()[0].asset_id == "a"
-        assert heap.push("x", 1.0) is False  # larger id loses
+        push(heap, "z", 1.0)
+        push(heap, "a", 1.0)  # same distance, smaller id
+        push(heap, "x", 1.0)  # larger id loses
+        assert ranked([heap], 1) == [(1.0, "a")]
 
     def test_len(self):
         heap = TopKHeap(5)
-        heap.push("a", 1.0)
-        heap.push("b", 2.0)
+        push(heap, "a", 1.0)
+        push(heap, "b", 2.0)
         assert len(heap) == 2
+
+    def test_compaction_bounds_retained_rows(self, rng):
+        """Retained rows stay O(K + one partition) however many
+        partitions are folded in, and compaction never loses a winner."""
+        heap = TopKHeap(5)
+        pairs = []
+        for part in range(40):
+            dist = rng.uniform(0, 100, size=30).astype(np.float32)
+            ids = [f"p{part:02d}-{i:02d}" for i in range(30)]
+            push_topk(heap, ids, dist, 5)
+            pairs.extend(zip(dist.tolist(), ids))
+            retained = sum(len(d) for _, d, _ in heap._chunks)
+            assert retained <= _COMPACT_FACTOR * 5 + 30
+        assert ranked([heap], 5) == sorted(pairs)[:5]
+
+    def test_retained_view_is_copied(self):
+        """An accumulator owns what it retains: folding a row of a 2-D
+        array (fewer than K rows, so nothing is cut) must not keep a
+        view that pins — and follows — the parent."""
+        parent = np.array(
+            [[3.0, 1.0, 2.0], [9.0, 9.0, 9.0]], dtype=np.float32
+        )
+        heap = TopKHeap(10)
+        push_topk(heap, ["a", "b", "c"], parent[0], 10)
+        assert all(d.base is None for _, d, _ in heap._chunks)
+        parent[:] = -1.0
+        assert ranked([heap], 10) == [(1.0, "b"), (2.0, "c"), (3.0, "a")]
 
 
 class TestMergeTopK:
     def test_merge_two_heaps(self):
         h1, h2 = TopKHeap(3), TopKHeap(3)
-        for i, d in enumerate([1.0, 3.0, 5.0]):
-            h1.push(f"x{i}", d)
-        for i, d in enumerate([2.0, 4.0, 6.0]):
-            h2.push(f"y{i}", d)
-        merged = merge_topk([h1, h2], 4)
-        assert [c.distance for c in merged] == [1.0, 2.0, 3.0, 4.0]
+        push_topk(h1, ["x0", "x1", "x2"], np.array([1.0, 3.0, 5.0]))
+        push_topk(h2, ["y0", "y1", "y2"], np.array([2.0, 4.0, 6.0]))
+        assert [d for d, _ in ranked([h1, h2], 4)] == [1.0, 2.0, 3.0, 4.0]
 
     def test_merge_dedupes_asset_ids(self):
         h1, h2 = TopKHeap(2), TopKHeap(2)
-        h1.push("same", 1.0)
-        h2.push("same", 2.0)
-        h2.push("other", 3.0)
-        merged = merge_topk([h1, h2], 3)
-        assert [c.asset_id for c in merged] == ["same", "other"]
-        assert merged[0].distance == 1.0  # kept the closer copy
+        push(h1, "same", 1.0)
+        push(h2, "same", 2.0)
+        push(h2, "other", 3.0)
+        # Kept the closer copy.
+        assert ranked([h1, h2], 3) == [(1.0, "same"), (3.0, "other")]
+
+    def test_dedupe_widens_the_cut(self):
+        """When de-duplication empties slots of the distance cut, the
+        cut widens to rows beyond it instead of returning short."""
+        heap = TopKHeap(8)
+        push_topk(
+            heap,
+            ["a", "a", "a", "b", "c"],
+            np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+        )
+        assert ranked([heap], 2) == [(1.0, "a"), (4.0, "b")]
+        assert ranked([heap], 3) == [(1.0, "a"), (4.0, "b"), (5.0, "c")]
 
     def test_merge_empty_heaps(self):
-        assert merge_topk([TopKHeap(2), TopKHeap(2)], 5) == []
+        ids, dist = merge_topk([TopKHeap(2), TopKHeap(2)], 5)
+        assert ids == [] and dist.shape == (0,)
 
     def test_merge_invalid_k(self):
         with pytest.raises(ValueError):
@@ -94,38 +148,96 @@ class TestMergeTopK:
             heap = TopKHeap(10)
             for i in range(30):
                 d = float(rng.uniform(0, 100))
-                heap.push(f"t{t}-{i}", d)
+                push(heap, f"t{t}-{i}", d)
                 all_pairs.append((d, f"t{t}-{i}"))
             heaps.append(heap)
-        merged = merge_topk(heaps, 10)
-        expected = sorted(all_pairs)[:10]
-        assert [(c.distance, c.asset_id) for c in merged] == expected
+        assert ranked(heaps, 10) == sorted(all_pairs)[:10]
 
 
-class TestTopKFromDistances:
+class TestPushTopK:
     def test_matches_full_sort(self, rng):
         ids = [f"a{i:03d}" for i in range(100)]
         dist = rng.uniform(0, 10, size=100)
-        got = topk_from_distances(ids, dist, 7)
-        expected = sorted(zip(dist.tolist(), ids))[:7]
-        assert [(c.distance, c.asset_id) for c in got] == [
-            (pytest.approx(d), a) for d, a in expected
-        ]
+        heap = TopKHeap(7)
+        push_topk(heap, ids, dist, 7)
+        assert ranked([heap], 7) == sorted(zip(dist.tolist(), ids))[:7]
 
-    def test_k_exceeds_n(self, rng):
-        ids = ["a", "b"]
-        got = topk_from_distances(ids, np.array([2.0, 1.0]), 10)
-        assert [c.asset_id for c in got] == ["b", "a"]
+    def test_k_exceeds_n(self):
+        heap = TopKHeap(10)
+        push_topk(heap, ["a", "b"], np.array([2.0, 1.0]), 10)
+        assert [a for _, a in ranked([heap], 10)] == ["b", "a"]
 
     def test_empty_input(self):
-        assert topk_from_distances([], np.empty(0), 5) == []
+        heap = TopKHeap(5)
+        push_topk(heap, [], np.empty(0), 5)
+        assert len(heap) == 0 and ranked([heap], 5) == []
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            topk_from_distances(["a"], np.array([1.0, 2.0]), 1)
+            push_topk(TopKHeap(1), ["a"], np.array([1.0, 2.0]), 1)
+        with pytest.raises(ValueError):
+            push_topk(
+                TopKHeap(1),
+                ["a", "b"],
+                np.array([1.0, 2.0]),
+                rows=np.array([0]),
+            )
 
     def test_deterministic_ties(self):
-        ids = ["c", "a", "b"]
-        dist = np.array([1.0, 1.0, 1.0])
-        got = topk_from_distances(ids, dist, 2)
-        assert [c.asset_id for c in got] == ["a", "b"]
+        heap = TopKHeap(2)
+        push_topk(heap, ["c", "a", "b"], np.array([1.0, 1.0, 1.0]), 2)
+        assert [a for _, a in ranked([heap], 2)] == ["a", "b"]
+
+    def test_rows_select_ids(self):
+        """``rows`` maps each distance to its position in the id
+        sequence (what a post-filter mask keeps)."""
+        heap = TopKHeap(2)
+        push_topk(
+            heap,
+            ["a", "b", "c", "d"],
+            np.array([3.0, 1.0, 2.0]),
+            rows=np.array([0, 2, 3]),
+        )
+        assert ranked([heap], 2) == [(1.0, "c"), (2.0, "d")]
+
+    def test_k_argument_does_not_change_the_cut(self):
+        """``k`` is accepted for the call shape; the accumulator's
+        capacity decides."""
+        heap = TopKHeap(3)
+        push_topk(heap, list("abcde"), np.arange(5.0), 1)
+        assert heap.worst_distance() == 2.0
+
+
+class TestSurfacedNeighbors:
+    def test_bit_identical_to_scalar_surfacing(self, rng):
+        """The vectorised float64 sqrt equals the scalar
+        ``surface_distance`` element for element, negatives (GEMM
+        round-off) clamped alike."""
+        dist = np.concatenate(
+            [
+                rng.uniform(0.0, 1e6, size=2000),
+                rng.uniform(0.0, 1e-6, size=200),
+                [-1e-7, 0.0, 4.0],
+            ]
+        ).astype(np.float32)
+        dist.sort()
+        ids = [f"a{i:05d}" for i in range(len(dist))]
+        for metric in ("l2", "cosine", "dot"):
+            got = surfaced_neighbors((ids, dist), metric)
+            assert [n.asset_id for n in got] == ids
+            for n, d in zip(got, dist):
+                assert type(n.distance) is float
+                assert n.distance == surface_distance(float(d), metric)
+
+    def test_surfaced_ties_resort_on_id(self):
+        """Two internal values that surface equal (negatives clamp to
+        zero) are ordered by asset id, whatever their internal order."""
+        merged = (["zz", "aa"], np.array([-2e-7, -1e-7], np.float32))
+        got = surfaced_neighbors(merged, "l2")
+        assert [(n.asset_id, n.distance) for n in got] == [
+            ("aa", 0.0),
+            ("zz", 0.0),
+        ]
+
+    def test_empty(self):
+        assert surfaced_neighbors(merge_topk([], 3), "l2") == ()

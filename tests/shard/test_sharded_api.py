@@ -318,6 +318,22 @@ class TestSearchFanout:
         assert all(r.stats.shards_probed == 3 for r in results)
 
 
+class TestNonFiniteQueries:
+    def test_nan_query_raises_on_every_entry_point(self, sharded):
+        """Not a degraded shard: a caller mistake, like a wrong
+        dimension, raises from the scatter."""
+        query = sharded._vecs[0].copy()
+        query[1] = np.nan
+        with pytest.raises(FilterError, match="NaN or infinity"):
+            sharded.search(query, k=5)
+        with pytest.raises(FilterError, match="NaN or infinity"):
+            sharded.search(query, k=5, exact=True)
+        with pytest.raises(FilterError, match="NaN or infinity"):
+            sharded.search_batch(np.stack([sharded._vecs[1], query]), k=5)
+        with pytest.raises(FilterError, match="NaN or infinity"):
+            sharded.search_async(query, k=5).result()
+
+
 class TestIndexLifecycle:
     def test_build_aggregates(self, sharded):
         report = sharded.build_index()
