@@ -6,7 +6,12 @@ overlapping partition reads with distance kernels (plus prefetch
 ordered by centroid distance) must cut cold-cache p50 latency >= 1.3x
 at *identical* results — the pipeline changes only when work happens,
 never what is computed. Warm-cache scans keep the serial fast path, so
-warm latency must not regress. Also asserts, via tracemalloc, that the
+warm latency must not regress. With NO latency model the same file's
+loads return at page-cache speed, where the pipeline's hand-offs cost
+more than its overlap saves: the default config must then stay on the
+caller's thread (cold p50 <= 1.1x the ``pipeline_depth=0`` p50; it was
+1.5x before engagement was decided from observed load times). Also
+asserts, via tracemalloc, that the
 fused int8 kernel allocates no full-precision copy of a code
 partition. Emits ``pipeline.json`` (``MICRONN_BENCH_ARTIFACTS``) for
 the CI trend diff.
@@ -126,6 +131,53 @@ def _run_mode(db_path, dataset, pipelined: bool) -> dict:
     }
 
 
+def _no_latency_cold_p50(db_path, dataset) -> dict[str, float]:
+    """Cold p50 without a latency model: default knobs vs depth 0.
+
+    Zero partition cache, so every load misses; no purge is needed and
+    no read blocks. The two configs take turns over the same queries
+    and each keeps the best of its three p50s, which drops a noisy
+    pass without favouring either side.
+    """
+    device = DeviceProfile(
+        name="bench-pipeline-no-latency",
+        worker_threads=4,
+        partition_cache_bytes=0,
+        sqlite_cache_bytes=1024 * 1024,
+    )
+    base = dict(
+        dim=dataset.dim,
+        metric=dataset.metric,
+        target_cluster_size=100,
+        device=device,
+    )
+    configs = {
+        "default": MicroNNConfig(**base),
+        "depth0": MicroNNConfig(pipeline_depth=0, **base),
+    }
+    best = dict.fromkeys(configs, float("inf"))
+    pipelined = scans = 0
+    for _ in range(3):
+        for name, config in configs.items():
+            with MicroNN.open(db_path, config) as db:
+                latencies = []
+                for query in dataset.queries:
+                    start = time.perf_counter()
+                    stats = db.search(query, k=K, nprobe=NPROBE).stats
+                    latencies.append(time.perf_counter() - start)
+                    pipelined += stats.scan_pipelined
+                    scans += 1
+                best[name] = min(
+                    best[name], summarize_latencies(latencies).p50_ms
+                )
+    return {
+        "default_p50_ms": best["default"],
+        "depth0_p50_ms": best["depth0"],
+        "scans_pipelined": pipelined,
+        "scans": scans,
+    }
+
+
 def _fused_kernel_memory(dataset) -> dict:
     """tracemalloc peaks: fused int8 kernel vs dequantize-then-GEMM."""
     rng = np.random.default_rng(0)
@@ -180,6 +232,7 @@ def test_pipelined_vs_serial(benchmark, bench_dir):
     recall_serial = mean_recall_at_k(truth, serial["retrieved"], K)
     recall_pipelined = mean_recall_at_k(truth, pipelined["retrieved"], K)
     kernel = _fused_kernel_memory(dataset)
+    no_latency = _no_latency_cold_p50(db_path, dataset)
 
     print_table(
         "Pipelined vs serial partition scan (flash-like I/O model)",
@@ -196,6 +249,9 @@ def test_pipelined_vs_serial(benchmark, bench_dir):
              f"{pipelined['warm_p95_ms']:.2f} ms"),
             ("recall@10", f"{recall_serial:.3f}", f"{recall_pipelined:.3f}"),
             ("cold speedup", "1.00x", f"{speedup_p50:.2f}x"),
+            ("cold p50, no latency model (depth 0 / default)",
+             f"{no_latency['depth0_p50_ms']:.2f} ms",
+             f"{no_latency['default_p50_ms']:.2f} ms"),
             ("io+compute (1 cold query)",
              f"{serial['io_time_ms'] + serial['compute_time_ms']:.1f} ms",
              f"{pipelined['io_time_ms'] + pipelined['compute_time_ms']:.1f}"
@@ -221,6 +277,7 @@ def test_pipelined_vs_serial(benchmark, bench_dir):
         "cold_p95_speedup": speedup_p95,
         "recall_at_k": recall_pipelined,
         "fused_kernel": kernel,
+        "no_latency_model": no_latency,
     }
     (artifact_dir / "pipeline.json").write_text(json.dumps(payload, indent=2))
 
@@ -233,6 +290,14 @@ def test_pipelined_vs_serial(benchmark, bench_dir):
     assert speedup_p50 >= 1.3, (
         f"cold p50 speedup collapsed: {speedup_p50:.2f}x"
     )
+    # Loads that do not block never engage the pipeline, so the default
+    # config costs what the serial one does.
+    # (A load caught by a scheduling hiccup of several ms can tip the
+    # running estimate for one query on a shared runner; no more.)
+    assert no_latency["scans_pipelined"] <= 0.02 * no_latency["scans"]
+    assert (
+        no_latency["default_p50_ms"] <= 1.1 * no_latency["depth0_p50_ms"]
+    ), no_latency
     # Warm scans bypass the pipeline; allow measurement jitter plus an
     # absolute floor — warm p50s are sub-millisecond, where shared-
     # runner noise swamps any relative margin.

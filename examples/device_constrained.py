@@ -21,8 +21,11 @@ scenarios:
   of per-row SQLite overhead dominates partition reads; packing each
   partition into one blob removes it (see the tuning note in
   ``quantization_tradeoff``),
-- the **pipelined partition scan**: cache-cold queries overlap
-  partition reads with distance kernels, tuned by three knobs —
+- the **pipelined partition scan**: cache-missing queries overlap
+  partition reads with distance kernels once the engine sees those
+  reads block (>= 1 ms per cold load, as on this device's flash
+  model; at page-cache speed scans stay on the caller's thread),
+  tuned by three knobs —
   ``pipeline_depth`` (bounded queue of loaded-but-unscored partitions;
   0 disables), ``io_prefetch_threads`` (the worker split: how many
   threads feed the queue vs score from it), and the device's
@@ -225,7 +228,20 @@ def pipeline_tuning(ids, vectors, queries, device) -> None:
     """The partition-scan pipeline knobs on the same constrained device.
 
     A cache-cold query alternates between reading a partition from
-    flash and scoring it; the pipeline runs both at once. Tuning guide:
+    flash and scoring it; the pipeline runs both at once. It engages
+    by itself, from what the engine observes: a running estimate of
+    seconds per cold partition load (``db.engine.cold_load_seconds``)
+    at or above 1 ms. This device's flash model charges every uncached
+    read >= 1 ms, so after the first (serial) query has been observed
+    the scans below pipeline; the same file on storage that answers
+    from the page cache (~0.2 ms per load) would run every config
+    below serially — there the hand-offs cost more than the overlap
+    saves (20k x 128, nprobe 8, no latency model: 1.5 ms serial,
+    2.7 ms forced through depth 2 / 1 I/O thread, 3.4 ms through
+    depth 4 / 2 I/O threads — 6.1 ms before concurrent reads took
+    turns). ``db.explain(...)`` prints the current
+    verdict; ``QueryStats.scan_pipelined`` says what a query did.
+    Tuning guide:
 
     - ``pipeline_depth`` — how many loaded partitions may wait in the
       queue. 2-4 is enough: the queue only needs to cover one load's
@@ -233,9 +249,16 @@ def pipeline_tuning(ids, vectors, queries, device) -> None:
       below). Each queued partition pins one scratch buffer, so depth
       also bounds transient memory.
     - ``io_prefetch_threads`` — the worker split. 1 keeps reads
-      strictly sequential in centroid-distance order (best for GIL
-      friendliness); 2 helps when storage latency, not bandwidth,
-      dominates (seek-heavy flash) because two reads overlap.
+      strictly sequential in centroid-distance order; it overlaps a
+      load with one partition's kernel, which at on-device partition
+      sizes (~30 us) is about what the hand-off costs. More than 1
+      only helps *blocking* reads — seek-heavy flash, where two waits
+      overlap (2 ms seeks: 14.9 ms serial, 15.2 ms with 1 I/O
+      thread, 8.4 ms with 2). On the row-per-vector layouts the reads
+      themselves take turns: every SQLite row step is a GIL
+      round-trip, so two reads in flight mostly trade the GIL (the
+      6.1 ms above); the packed and blob-file layouts read one row per
+      partition and overlap.
     - ``device.scratch_buffer_bytes`` — decode-buffer pool for
       partitions the cache cannot hold; results are identical either
       way, a too-small pool just allocates transiently.
@@ -281,7 +304,8 @@ def pipeline_tuning(ids, vectors, queries, device) -> None:
     print(
         "io+compute exceeding the cold latency is the overlap: both "
         "stages run\nat the same time. Warm queries bypass the "
-        "pipeline entirely."
+        "pipeline entirely, and so do\ncold ones while loads return "
+        "at page-cache speed."
     )
 
 

@@ -199,11 +199,14 @@ class MicroNNConfig:
         kept for exact reranking, as a multiple of ``k``.
     pipeline_depth:
         Bounded-queue depth of the partition-scan I/O–compute pipeline
-        (``0`` disables pipelining; scans fall back to the serial
-        load-then-score path).
+        (``0`` means never pipeline). The pipeline engages by itself,
+        on scans with cache-missing probes while the engine observes
+        cold loads blocking (>= 1 ms each); otherwise scans load and
+        score on the caller's thread.
     io_prefetch_threads:
         Worker threads dedicated to the pipeline's I/O stage; the rest
         of ``device.worker_threads`` score partitions as they arrive.
+        More than one only helps reads that block.
     device:
         Resource envelope for query processing.
     seed:
@@ -271,17 +274,27 @@ class MicroNNConfig:
     #: I/O stage and the compute stage. While partition ``N`` is being
     #: scored, up to ``pipeline_depth`` later partitions are already
     #: being read and decoded, so the disk and the cores stay busy at
-    #: the same time. ``0`` disables the pipeline entirely (the serial
-    #: load-then-score path, the A/B baseline). The pipeline engages
-    #: only when at least one selected partition is cache-cold — fully
-    #: warm scans keep the lower-overhead serial path.
+    #: the same time. ``0`` means never (the serial load-then-score
+    #: path, the A/B baseline). Otherwise the pipeline engages by
+    #: itself (``repro.query.pipeline.pipeline_engages``): on a scan
+    #: with at least one cache-missing probe, while the engine's
+    #: running estimate of seconds per cold partition load is at or
+    #: above 1 ms — reads that block (cold flash, the latency model),
+    #: so another thread can run meanwhile. Fully warm scans, and cold
+    #: ones served at page-cache speed, load and score on the
+    #: caller's thread, where a query costs what its bytes cost.
     pipeline_depth: int = 2
     #: Number of worker threads dedicated to the pipeline's I/O stage
     #: (reading + decoding partitions). The compute stage gets the
-    #: remaining ``worker_threads`` (at least one). One I/O thread is
-    #: usually right: SQLite range reads are sequential and tiny reads
-    #: fanned across threads convoy on the GIL, but a slow-flash device
-    #: profile can raise it to keep the queue fed.
+    #: remaining ``worker_threads`` (at least one). Only matters while
+    #: the pipeline is engaged, i.e. while reads block. One I/O thread
+    #: overlaps a load with one partition's kernel; a second overlaps
+    #: two *waits*, which is where the measured win is (2 ms seeks,
+    #: 20k x 128: 14.9 ms serial, 15.2 ms with one, 8.4 ms with two).
+    #: On the row-per-vector layouts the reads themselves take turns
+    #: (``RowLayoutSQL._read_rows``) — every SQLite row step is a GIL
+    #: round-trip, so two in flight mostly trade the GIL; the packed
+    #: and blob-file layouts read one row per partition and overlap.
     io_prefetch_threads: int = 1
     #: Adaptive nprobe early termination: once a scan's top-K candidate
     #: set is full, a remaining partition is skipped when its centroid

@@ -56,6 +56,7 @@ from repro.obs import (
     WorkloadSnapshot,
     build_recommendations,
 )
+from repro.query import pipeline
 from repro.query.batch import BatchQueryExecutor
 from repro.query.executor import QueryExecutor, _check_k
 from repro.query.filters import Predicate, default_tokenizer
@@ -803,21 +804,39 @@ class MicroNN:
         return "float32"
 
     def pipeline_description(self) -> str:
-        """One-line account of the partition-scan pipeline settings.
+        """Whether the next cache-missing scan would pipeline, and why.
 
-        The per-query observability lives in :class:`QueryStats`:
-        ``io_time_ms``/``compute_time_ms`` are summed thread times, so
-        their total exceeding the query latency is the direct signature
-        of I/O–compute overlap, and ``scan_pipelined`` says whether the
-        pipeline actually engaged.
+        The decision is :func:`repro.query.pipeline.pipeline_engages`,
+        read here without running anything; it moves with the engine's
+        observed seconds per cold partition load. The per-query truth
+        lives in :class:`QueryStats`: ``scan_pipelined`` says whether
+        the pipeline actually ran, and ``io_time_ms`` /
+        ``compute_time_ms`` are summed thread times, so their total
+        exceeding the query latency is the direct signature of
+        I/O–compute overlap.
         """
         depth = self._config.pipeline_depth
         if depth < 1:
             return "off — serial load-then-score scans (pipeline_depth=0)"
+        threshold_ms = pipeline.PIPELINE_MIN_LOAD_S * 1e3
+        load_s = self._engine.cold_load_seconds
+        observed = (
+            "no cold partition load observed yet"
+            if load_s is None
+            else f"cold loads take {load_s * 1e3:.2f} ms each"
+        )
+        # (2: any scan of more than one partition.)
+        if not pipeline.pipeline_engages(self._engine, depth, 2):
+            return (
+                f"standing by — {observed}; scans with cache-missing "
+                "probes load and score on the caller's thread until "
+                f"loads block >= {threshold_ms:g} ms each"
+            )
         return (
-            f"I/O–compute overlap on cache-cold scans (depth={depth}, "
+            f"I/O–compute overlap on scans with cache-missing probes — "
+            f"{observed} (>= {threshold_ms:g} ms): depth={depth}, "
             f"{self._config.io_prefetch_threads} I/O thread(s), up to "
-            f"{self._config.device.worker_threads} compute workers)"
+            f"{self._config.device.worker_threads} compute workers"
         )
 
     def adaptive_nprobe_description(self) -> str:

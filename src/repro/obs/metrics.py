@@ -309,9 +309,18 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, value: float = 1.0, **labels: object) -> None:
-        if not self._enabled:
-            return
+        if self._enabled:
+            self._add(self._key(labels), value)
+
+    def bound(self, **labels: object) -> Callable[..., None]:
+        """``inc`` for one fixed label set, its key resolved once: what
+        a hot path calls instead of re-deriving the key per event."""
         key = self._key(labels)
+        if not self._enabled:
+            return lambda value=1.0: None
+        return lambda value=1.0: self._add(key, value)
+
+    def _add(self, key: tuple[str, ...], value: float) -> None:
         with self._lock:
             self._samples[key] = self._samples.get(key, 0.0) + value
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from repro.query.heap import (
 )
 from repro.query.pipeline import (
     has_cold_partition,
+    pipeline_engages,
     release_scratch_payload,
     run_scan_pipeline,
 )
@@ -185,12 +187,8 @@ class BatchQueryExecutor:
             # the point of MQO. Under sq8/pq the read is the code
             # partition (a fraction of the bytes); code-less
             # partitions and the under-threshold delta stay
-            # full-precision. Cache-cold
-            # batches run the same I/O–compute pipeline as single
-            # queries: one partition is being read while another's
-            # shared GEMM runs, still once per partition per batch.
-            # Warm batches keep the serial path (threaded tiny SQLite
-            # reads convoy on the GIL; see executor._scan_partitions).
+            # full-precision. _scan_groups picks the schedule exactly
+            # as the single-query executor does.
             outcomes, io_time, compute_time, pipelined = self._scan_groups(
                 groups, q, quantizer, scorers, rerank_pool, k
             )
@@ -287,33 +285,29 @@ class BatchQueryExecutor:
     def _scan_groups(
         self, groups, q, quantizer, scorers, rerank_pool: int, k: int
     ) -> tuple[list[tuple], float, float, bool]:
-        """Run the batch's partition scans (pipelined when cold).
+        """Run the batch's partition scans.
+
+        Same dispatch as the single-query executor: a batch with
+        cache-missing partitions pipelines when
+        :func:`~repro.query.pipeline.pipeline_engages` says loads block
+        long enough to pay for it, and otherwise loads and scores its
+        misses one partition at a time on this thread under one read
+        snapshot; the cache hits (a fully warm batch: everything) are
+        gathered first, then their GEMMs fan out.
 
         Returns (per-partition outcomes, io seconds, compute seconds,
         pipelined flag). Outcome order varies across schedules but the
         per-query merge sorts on (distance, asset_id), so batch results
-        are identical with the pipeline on or off.
+        are identical whichever path ran.
         """
         items = list(groups.items())
-        if self._should_pipeline(items, quantizer):
+        cold = has_cold_partition(self._engine, groups, quantizer is not None)
+        if cold and pipeline_engages(
+            self._engine, self._config.pipeline_depth, len(items)
+        ):
             return self._scan_groups_pipelined(
                 items, q, quantizer, scorers, rerank_pool, k
             )
-
-        io_start = time.perf_counter()
-        loaded = []
-        for pid, query_rows in items:
-            entry, is_codes = self._load_group(pid, quantizer)
-            loaded.append((entry, query_rows, is_codes))
-        io_time = time.perf_counter() - io_start
-
-        compute_start = time.perf_counter()
-        total_elements = sum(
-            len(entry) * len(query_rows) for entry, query_rows, _ in loaded
-        )
-        workers = max(
-            1, min(self._config.device.worker_threads, len(loaded))
-        )
 
         def compute(item):
             entry, query_rows, is_codes = item
@@ -322,24 +316,37 @@ class BatchQueryExecutor:
                 rerank_pool, k,
             )
 
-        if workers == 1 or total_elements < _PARALLEL_BATCH_ELEMENTS:
-            outcomes = [compute(item) for item in loaded]
-        else:
-            outcomes = list(self._worker_pool().map(compute, loaded))
-        return outcomes, io_time, time.perf_counter() - compute_start, False
-
-    def _should_pipeline(self, items, quantizer) -> bool:
-        """Pipeline only cache-cold batches (see executor heuristic)."""
-        if self._config.pipeline_depth < 1 or len(items) <= 1:
-            return False
-        return has_cold_partition(
-            self._engine.cache,
-            self._engine.codes_cache,
-            (pid for pid, _ in items),
-            quantizer is not None,
-            DELTA_PARTITION_ID,
-            delta_codes=self._engine.delta_codes,
+        # Cache misses load, score and drop one at a time under one
+        # read snapshot; cache hits are references into the cache, so
+        # they wait for the fan-out below (all of a warm batch does).
+        outcomes, loaded = [], []
+        io_time = 0.0
+        start = time.perf_counter()
+        with self._engine.read_snapshot() if cold else nullcontext():
+            for pid, query_rows in items:
+                miss = cold and has_cold_partition(
+                    self._engine, (pid,), quantizer is not None
+                )
+                load_start = time.perf_counter()
+                entry, is_codes = self._load_group(pid, quantizer)
+                io_time += time.perf_counter() - load_start
+                item = (entry, query_rows, is_codes)
+                if miss:
+                    outcomes.append(compute(item))
+                else:
+                    loaded.append(item)
+        total_elements = sum(
+            len(entry) * len(query_rows) for entry, query_rows, _ in loaded
         )
+        workers = max(
+            1, min(self._config.device.worker_threads, len(loaded))
+        )
+        if workers == 1 or total_elements < _PARALLEL_BATCH_ELEMENTS:
+            outcomes += [compute(item) for item in loaded]
+        else:
+            outcomes += self._worker_pool().map(compute, loaded)
+        compute_time = time.perf_counter() - start - io_time
+        return outcomes, io_time, compute_time, False
 
     def _scan_groups_pipelined(
         self, items, q, quantizer, scorers, rerank_pool: int, k: int

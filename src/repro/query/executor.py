@@ -10,10 +10,13 @@ The ANN path is Algorithm 2 verbatim:
    of partitions, computing distances in one batched kernel call per
    partition and folding the distance array (plus the row positions a
    filter kept) into the accumulator as-is: no per-row Python, and no
-   asset-id string is read while scanning. Cache-cold scans run as a
-   two-stage I/O–compute pipeline (:mod:`repro.query.pipeline`):
-   partitions are prefetched in centroid-distance order and scored as
-   they arrive, so the disk and the cores are busy at the same time;
+   asset-id string is read while scanning. A scan with cache-missing
+   probes loads and scores one partition at a time on this thread,
+   inside one read snapshot; while the engine observes cold loads
+   *blocking*, it runs as a two-stage I/O–compute pipeline instead
+   (:mod:`repro.query.pipeline`): partitions are prefetched in
+   centroid-distance order and scored as they arrive, so the disk and
+   the cores are busy at the same time;
 4. merge the per-thread accumulators, resolve asset-id strings for the
    K survivors only, and surface them.
 
@@ -71,6 +74,7 @@ from repro.query.heap import (
 )
 from repro.query.pipeline import (
     has_cold_partition,
+    pipeline_engages,
     release_scratch_payload,
     run_scan_pipeline,
 )
@@ -737,26 +741,15 @@ class QueryExecutor:
         return index, row_of
 
     def _pipeline_split(
-        self, partitions: list[tuple[int, float]], quantized: bool
+        self, partitions: list[tuple[int, float]]
     ) -> tuple[int, int] | None:
-        """(io_threads, compute_workers) if this scan should pipeline.
-
-        The pipeline pays a bounded-queue plus task-dispatch overhead
-        that only buys anything when partition loads actually touch
-        storage, so it engages only when the scan is at least partly
-        cache-cold; fully-warm scans keep the serial fast path (whose
-        results are bit-identical — same kernels, same merges). A
-        ``pipeline_depth`` of 0 disables it outright (the A/B knob).
-        """
-        if self._config.pipeline_depth < 1 or len(partitions) <= 1:
-            return None
-        if not has_cold_partition(
-            self._engine.cache,
-            self._engine.codes_cache,
-            (pid for pid, _ in partitions),
-            quantized,
-            DELTA_PARTITION_ID,
-            delta_codes=self._engine.delta_codes,
+        """(io_threads, compute_workers) if this cold scan should
+        pipeline, by :func:`~repro.query.pipeline.pipeline_engages`:
+        only when the engine has seen cold loads block long enough for
+        the overlap to outweigh the hand-offs. Results are bit-identical
+        either way — same kernels, same merges."""
+        if not pipeline_engages(
+            self._engine, self._config.pipeline_depth, len(partitions)
         ):
             return None
         io_threads = min(
@@ -795,33 +788,32 @@ class QueryExecutor:
     ) -> tuple[list[TopKHeap], _ScanOutcome]:
         """Partition scans with per-worker bounded heaps (Algorithm 2).
 
-        Cache-cold scans run the two-stage I/O–compute pipeline
-        (:mod:`repro.query.pipeline`): partition ``N+1`` is being read
-        and decoded while partition ``N`` is being scored. With
-        ``adaptive_nprobe_margin`` set, warm scans run the ordered
-        early-termination loop instead. Plain warm scans keep the
-        serial two-phase path:
+        A scan with cache-missing probes runs the two-stage I/O–compute
+        pipeline (:mod:`repro.query.pipeline`) when the engine has
+        seen cold loads block long enough for overlap to pay, and
+        otherwise the ordered load → score → drop loop on this thread
+        (also the ``adaptive_nprobe_margin`` path). Fully warm scans
+        keep the two-phase path:
 
-        1. **Load** — partitions are read sequentially through the
-           partition cache. In CPython, fanning tiny SQLite reads
-           across threads convoys on the GIL (every row step is a GIL
-           round-trip), so the serial path keeps I/O single-threaded;
-           the clustered layout makes each read one sequential range
-           scan anyway.
+        1. **Load** — every probe is a cache hit, so this is a list of
+           references, not of copies.
         2. **Distance + heap** — the decoded matrices are sharded
            across the worker pool, one bounded heap per worker, merged
            afterwards. numpy's kernels release the GIL, so this phase
            parallelizes for real once partitions are large enough; for
            small ones it runs inline to skip pool overhead.
         """
-        split = self._pipeline_split(partitions, quantized=False)
+        cold = has_cold_partition(
+            self._engine, (pid for pid, _ in partitions), False
+        )
+        split = self._pipeline_split(partitions) if cold else None
         if split is not None:
             return self._scan_partitions_pipelined(
                 partitions, query, k, qualifying_ids, split
             )
-        if self._config.adaptive_nprobe_margin is not None:
-            return self._scan_partitions_adaptive(
-                partitions, query, k, qualifying_ids
+        if cold or self._config.adaptive_nprobe_margin is not None:
+            return self._scan_ordered(
+                partitions, query, k, qualifying_ids, None, cold
             )
         # The io window covers loads only; masking is CPU work and is
         # charged to the compute window, matching how the pipelined
@@ -844,22 +836,9 @@ class QueryExecutor:
             if len(matrix):
                 work.append((entry.asset_ids, rows, matrix))
         computed = sum(len(matrix) for _, _, matrix in work)
-        total_elements = sum(matrix.size for _, _, matrix in work)
-        workers = max(
-            1, min(self._config.device.worker_threads, len(work))
+        heaps = self._fan_out(
+            work, lambda shard: self._scan_work(shard, query, k)
         )
-        if workers == 1 or total_elements < _PARALLEL_SCAN_ELEMENTS:
-            heaps = [self._scan_work(work, query, k)]
-        else:
-            shards: list[list[tuple]] = [[] for _ in range(workers)]
-            for i, item in enumerate(work):
-                shards[i % workers].append(item)
-            heaps = list(
-                self._worker_pool().map(
-                    lambda shard: self._scan_work(shard, query, k),
-                    shards,
-                )
-            )
         outcome = _ScanOutcome(
             vectors_scanned=scanned,
             distance_computations=computed,
@@ -868,55 +847,6 @@ class QueryExecutor:
             compute_time_s=time.perf_counter() - compute_start,
         )
         return heaps, outcome
-
-    def _scan_partitions_adaptive(
-        self,
-        partitions: list[tuple[int, float]],
-        query: np.ndarray,
-        k: int,
-        qualifying_ids: frozenset[str] | None,
-    ) -> tuple[list[TopKHeap], _ScanOutcome]:
-        """Ordered load→score loop with adaptive early termination.
-
-        The probe set arrives in centroid-distance order, so the
-        admission check runs before each *load*: a skipped partition
-        costs neither I/O nor a kernel. Single-threaded on purpose —
-        the check is order-dependent, which makes this path exactly
-        reproducible (the deterministic reference the pipelined
-        admission approximates conservatively).
-        """
-        margin = self._config.adaptive_nprobe_margin
-        heap = TopKHeap(k)
-        io_time = compute_time = 0.0
-        scanned = computed = filtered = skipped = 0
-        for pid, cdist in partitions:
-            if adaptive_skip(cdist, heap.worst_distance(), margin):
-                skipped += 1
-                self._engine.workload.record_skip(pid)
-                continue
-            start = time.perf_counter()
-            entry = self._engine.load_partition(pid)
-            io_time += time.perf_counter() - start
-            if not len(entry):
-                continue
-            start = time.perf_counter()
-            scanned += len(entry)
-            rows, matrix, dropped = _masked(entry, qualifying_ids)
-            filtered += dropped
-            if len(matrix):
-                computed += len(matrix)
-                dist = distances_to_one(query, matrix, self._config.metric)
-                push_topk(heap, entry.asset_ids, dist, k, rows)
-            compute_time += time.perf_counter() - start
-        outcome = _ScanOutcome(
-            vectors_scanned=scanned,
-            distance_computations=computed,
-            rows_filtered=filtered,
-            io_time_s=io_time,
-            compute_time_s=compute_time,
-            partitions_skipped=skipped,
-        )
-        return [heap], outcome
 
     def _scan_partitions_pipelined(
         self,
@@ -996,6 +926,18 @@ class QueryExecutor:
             max_depth=outcome.max_depth,
         )
 
+    def _fan_out(self, work: list[_Work], scan) -> list[TopKHeap]:
+        """``scan`` over ``work``: one heap inline, or one per worker
+        once the matrices are large enough for the pool to pay."""
+        workers = max(
+            1, min(self._config.device.worker_threads, len(work))
+        )
+        total_elements = sum(matrix.size for _, _, matrix in work)
+        if workers == 1 or total_elements < _PARALLEL_SCAN_ELEMENTS:
+            return [scan(work)]
+        shards = [work[i::workers] for i in range(workers)]
+        return list(self._worker_pool().map(scan, shards))
+
     def _scan_work(
         self, work: list[_Work], query: np.ndarray, k: int
     ) -> TopKHeap:
@@ -1045,14 +987,17 @@ class QueryExecutor:
         re-scored against their float32 vectors, point-fetched by id,
         and combined with the exact candidates.
         """
-        split = self._pipeline_split(partitions, quantized=True)
+        cold = has_cold_partition(
+            self._engine, (pid for pid, _ in partitions), True
+        )
+        split = self._pipeline_split(partitions) if cold else None
         if split is not None:
             return self._scan_quantized_pipelined(
                 partitions, query, k, qualifying_ids, quantizer, split
             )
-        if self._config.adaptive_nprobe_margin is not None:
-            return self._scan_quantized_adaptive(
-                partitions, query, k, qualifying_ids, quantizer
+        if cold or self._config.adaptive_nprobe_margin is not None:
+            return self._scan_ordered(
+                partitions, query, k, qualifying_ids, quantizer, cold
             )
         scorer = make_code_scorer(query, quantizer, self._config.metric)
         # Load window, then masking + kernels in the compute window —
@@ -1081,28 +1026,10 @@ class QueryExecutor:
                 bucket.append((entry.asset_ids, rows, matrix))
         rerank_pool = max(k, self._config.rerank_factor * k)
         computed = sum(len(m) for _, _, m in approx_work + exact_work)
-        total_elements = sum(m.size for _, _, m in approx_work)
-        workers = max(
-            1,
-            min(self._config.device.worker_threads, len(approx_work)),
+        approx_heaps = self._fan_out(
+            approx_work,
+            lambda shard: self._scan_codes_work(shard, scorer, rerank_pool),
         )
-        if workers == 1 or total_elements < _PARALLEL_SCAN_ELEMENTS:
-            approx_heaps = [
-                self._scan_codes_work(approx_work, scorer, rerank_pool)
-            ]
-        else:
-            shards: list[list[tuple]] = [[] for _ in range(workers)]
-            for i, item in enumerate(approx_work):
-                shards[i % workers].append(item)
-            approx_heaps = list(
-                self._worker_pool().map(
-                    lambda shard: self._scan_codes_work(
-                        shard, scorer, rerank_pool
-                    ),
-                    shards,
-                )
-            )
-
         exact_heap = self._scan_work(exact_work, query, k)
         compute_time = time.perf_counter() - compute_start
         rerank_heap, reranked = self._rerank(
@@ -1119,77 +1046,133 @@ class QueryExecutor:
         )
         return [rerank_heap, exact_heap], outcome
 
-    def _scan_quantized_adaptive(
+    def _scan_ordered(
         self,
         partitions: list[tuple[int, float]],
         query: np.ndarray,
         k: int,
         qualifying_ids: frozenset[str] | None,
-        quantizer: Quantizer,
+        quantizer: Quantizer | None,
+        cold: bool,
     ) -> tuple[list[TopKHeap], _ScanOutcome]:
-        """Ordered quantized load→score loop with early termination.
+        """Ordered load → score → drop loop on the caller's thread.
 
-        The admission bound is the tighter of the approximate heap's
-        ``rerank_factor * k``-th distance and the exact heap's k-th.
-        The exact side is a true upper bound on the final k-th
-        candidate; the approximate side lives in quantized space,
-        where quantization can understate an exact distance — so the
-        margin must absorb quantization error too, and pruning is a
-        recall heuristic rather than a strict guarantee (bounding on
-        the exact heap alone would almost never fire: it only sees
-        delta and code-less partitions).
+        The serial form of a ``cold`` scan, float32 (``quantizer`` is
+        None) or quantized: each cache-missing partition is scored as
+        soon as it is loaded, so at most one uncached matrix is live,
+        and all the loads share one read snapshot — one database state
+        and one transaction per query. In a scan large enough for the
+        worker pool (``_PARALLEL_SCAN_ELEMENTS``) the probes that hit
+        the cache are scored after the loop, fanned out like a warm
+        scan's.
+
+        With ``adaptive_nprobe_margin`` set it also terminates early:
+        the probe set arrives in centroid-distance order, so the
+        admission check runs before each *load* and a skipped
+        partition costs neither I/O nor a kernel. Single-threaded on
+        purpose — the check is order-dependent, which makes this path
+        exactly reproducible (the deterministic reference the
+        pipelined admission approximates conservatively). The bound is
+        the tighter of the approximate heap's ``rerank_factor * k``-th
+        distance and the exact heap's k-th. The exact side is a true
+        upper bound on the final k-th candidate; the approximate side
+        lives in quantized space, where quantization can understate an
+        exact distance — so the margin must absorb quantization error
+        too, and pruning a quantized scan is a recall heuristic rather
+        than a strict guarantee (bounding on the exact heap alone
+        would almost never fire there: it only sees delta and
+        code-less partitions).
         """
         margin = self._config.adaptive_nprobe_margin
+        engine = self._engine
+        metric = self._config.metric
+        quantized = quantizer is not None
         rerank_pool = max(k, self._config.rerank_factor * k)
-        scorer = make_code_scorer(query, quantizer, self._config.metric)
+        scorer = (
+            make_code_scorer(query, quantizer, metric) if quantized else None
+        )
         approx = TopKHeap(rerank_pool)
         exact = TopKHeap(k)
+        # A scan big enough for the worker pool keeps its multi-core
+        # scoring for the probes that hit the cache: those matrices
+        # are references into it, so they are set aside and fanned out
+        # after the loop. Only the misses load, score and drop here.
+        set_aside = margin is None and (
+            len(partitions)
+            * self._config.target_cluster_size
+            * self._config.dim
+            >= _PARALLEL_SCAN_ELEMENTS
+        )
+        approx_later: list[_Work] = []
+        exact_later: list[_Work] = []
         io_time = compute_time = 0.0
         scanned = computed = filtered = skipped = 0
-        for pid, cdist in partitions:
-            kth = min(approx.worst_distance(), exact.worst_distance())
-            if adaptive_skip(cdist, kth, margin):
-                skipped += 1
-                self._engine.workload.record_skip(pid)
-                continue
+        with engine.read_snapshot() if cold else nullcontext():
+            for pid, cdist in partitions:
+                if margin is not None and adaptive_skip(
+                    cdist,
+                    min(approx.worst_distance(), exact.worst_distance()),
+                    margin,
+                ):
+                    skipped += 1
+                    engine.workload.record_skip(pid)
+                    continue
+                later = set_aside and not has_cold_partition(
+                    engine, (pid,), quantized
+                )
+                start = time.perf_counter()
+                entry, is_codes = engine.load_scan_entry(pid, quantized)
+                loaded = time.perf_counter()
+                io_time += loaded - start
+                if not len(entry):
+                    continue
+                scanned += len(entry)
+                rows, matrix, dropped = _masked(entry, qualifying_ids)
+                filtered += dropped
+                if len(matrix):
+                    computed += len(matrix)
+                    ids = entry.asset_ids
+                    if later:
+                        (approx_later if is_codes else exact_later).append(
+                            (ids, rows, matrix)
+                        )
+                    elif is_codes:
+                        push_topk(
+                            approx, ids, scorer(matrix), rerank_pool, rows
+                        )
+                    else:
+                        dist = distances_to_one(query, matrix, metric)
+                        push_topk(exact, ids, dist, k, rows)
+                compute_time += time.perf_counter() - loaded
+        approx_heaps, heaps, reranked = [approx], [exact], 0
+        if set_aside:
             start = time.perf_counter()
-            entry, is_codes = self._engine.load_scan_entry(
-                pid, quantized=True
+            approx_heaps += self._fan_out(
+                approx_later,
+                lambda shard: self._scan_codes_work(
+                    shard, scorer, rerank_pool
+                ),
             )
-            io_time += time.perf_counter() - start
-            if not len(entry):
-                continue
-            start = time.perf_counter()
-            scanned += len(entry)
-            rows, matrix, dropped = _masked(entry, qualifying_ids)
-            filtered += dropped
-            if len(matrix):
-                computed += len(matrix)
-                if is_codes:
-                    dist = scorer(matrix)
-                    push_topk(
-                        approx, entry.asset_ids, dist, rerank_pool, rows
-                    )
-                else:
-                    dist = distances_to_one(
-                        query, matrix, self._config.metric
-                    )
-                    push_topk(exact, entry.asset_ids, dist, k, rows)
+            heaps += self._fan_out(
+                exact_later, lambda shard: self._scan_work(shard, query, k)
+            )
             compute_time += time.perf_counter() - start
-        rerank_heap, reranked = self._rerank(
-            merge_topk([approx], rerank_pool), query, k
-        )
+        if quantized:
+            rerank_heap, reranked = self._rerank(
+                merge_topk(approx_heaps, rerank_pool), query, k
+            )
+            heaps = [rerank_heap, *heaps]
         outcome = _ScanOutcome(
             vectors_scanned=scanned,
             distance_computations=computed + reranked,
             rows_filtered=filtered,
-            scan_mode=quantizer.kind,
+            scan_mode=quantizer.kind if quantized else "float32",
             candidates_reranked=reranked,
             io_time_s=io_time,
             compute_time_s=compute_time,
             partitions_skipped=skipped,
         )
-        return [rerank_heap, exact], outcome
+        return heaps, outcome
 
     def _scan_quantized_pipelined(
         self,

@@ -22,6 +22,15 @@ liveness even when the shared worker pool is saturated by concurrent
 queries: the queue always has at least one live drain, so producers
 can never block forever on a full queue.
 
+Engagement (:func:`pipeline_engages`): the overlap is paid for in queue
+hand-offs and, in CPython, a GIL exchange at every SQLite row step
+between the loading and the scoring threads, so it only wins when
+loads *block* — a cold flash read, the latency model's sleep — and
+another thread can run meanwhile. Scans whose probes all hit the cache
+never come here, and neither do cache-missing scans while the engine
+observes cold loads at page-cache speed: those load and score on the
+caller's thread.
+
 Ownership: a loaded item belongs to the I/O stage until queued, then to
 whichever consumer dequeues it. Items that are never consumed (a
 failing scan aborts the pipeline) are handed to ``discard`` so scratch
@@ -36,6 +45,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from queue import Empty, Full, Queue
 from typing import Callable, Sequence
+
+from repro.core.config import DELTA_PARTITION_ID
 
 #: Queue marker telling one consumer to exit (one is emitted per
 #: consumer once every producer has finished).
@@ -87,26 +98,55 @@ def is_partition_cold(
     return partition_id not in cache
 
 
-def has_cold_partition(
-    cache,
-    codes_cache,
-    partition_ids,
-    use_codes: bool,
-    delta_partition_id: int,
-    delta_codes=None,
-) -> bool:
+def has_cold_partition(engine, partition_ids, use_codes: bool) -> bool:
     """Whether any selected partition misses its (float or codes) cache."""
     return any(
         is_partition_cold(
-            cache,
-            codes_cache,
+            engine.cache,
+            engine.codes_cache,
             pid,
             use_codes,
-            delta_partition_id,
-            delta_codes=delta_codes,
+            DELTA_PARTITION_ID,
+            delta_codes=engine.delta_codes,
         )
         for pid in partition_ids
     )
+
+
+#: Seconds per cold partition load (the engine's running estimate) at
+#: and above which a cache-missing scan pipelines; below it the scan
+#: loads and scores on the caller's thread. Set by measurement, not
+#: config — 20k x 128 under the constrained envelope, caches purged
+#: before every query (8 probes + delta, ~6 non-empty loads), one seek
+#: latency per row, p50 of 120 searches as serial / depth 2 with 1 I/O
+#: thread / depth 4 with 2 I/O threads:
+#:
+#:   0.20 ms per load (no model)   1.5 /  2.7 / 3.4 ms
+#:   0.57 ms                       4.1 /  4.9 / 3.6 ms
+#:   0.85 ms                       5.6 /  6.4 / 4.4 ms
+#:   1.1 ms                        7.1 /  7.4 / 4.5 ms
+#:   1.4 ms                        8.6 /  8.9 / 5.3 ms
+#:   2.3 ms (seek 2 ms)           14.9 / 15.2 / 8.4 ms
+#:
+#: One I/O thread (the default) only overlaps a load with a ~30 us
+#: kernel: it trails serial by 2-4% from 1 ms up and by 13-70% below.
+#: Two overlapped waits win 1.6-1.8x from 1 ms up, still win a little
+#: at 0.6 ms and lose 2x at page-cache speed. 1 ms is where engaging
+#: costs the default config nothing measurable.
+PIPELINE_MIN_LOAD_S = 0.001
+
+
+def pipeline_engages(engine, depth: int, items: int) -> bool:
+    """Whether a cache-missing scan of ``items`` partitions pipelines.
+
+    THE engagement rule (see the module docstring for why) — the
+    single-query and batch executors and ``explain()`` all ask here.
+    The engine observes what its cold loads cost; no observation yet
+    counts as fast. ``depth`` 0 means never.
+    """
+    if depth < 1 or items <= 1:
+        return False
+    return (engine.cold_load_seconds or 0.0) >= PIPELINE_MIN_LOAD_S
 
 
 #: How long blocked queue operations wait before re-checking the abort

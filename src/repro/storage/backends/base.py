@@ -40,6 +40,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
+import numpy as np
+
 #: Estimated fixed per-row storage overhead of one SQLite row (b-tree
 #: key + record header), used for byte accounting of row-per-vector
 #: reads and of per-row point fetches on every backend.
@@ -70,9 +72,11 @@ MEMORY_MARKER = (
 class PartitionPayload:
     """One partition's rows as read from a backend, before decoding.
 
-    Exactly one of ``blobs`` (row-per-vector layouts: one blob per
-    row) or ``packed`` (packed layouts: one contiguous buffer) is
-    set; both are ``None``/empty for an empty partition.
+    ``packed`` is the row payloads as ONE contiguous buffer in row
+    order — the stored blob of a packed layout, the joined row blobs
+    of a row-per-vector layout, empty for an empty partition — so the
+    engine CRC-verifies and reinterprets a single buffer with no
+    per-row work.
 
     ``stored_bytes`` is the backend's estimate of the physical bytes
     this read pulled from storage (payload plus layout overhead) —
@@ -82,12 +86,16 @@ class PartitionPayload:
 
     asset_ids: tuple[str, ...]
     vector_ids: tuple[int, ...]
-    blobs: list[bytes] | None
-    packed: bytes | memoryview | None
+    packed: bytes | memoryview
     stored_bytes: int
 
     def __len__(self) -> int:
         return len(self.asset_ids)
+
+
+#: Little-endian int64: how vector ids are stored in packed id arrays
+#: and the width each one is checksummed at.
+VID_DTYPE = np.dtype("<i8")
 
 
 def payload_checksum(payload: PartitionPayload) -> int:
@@ -98,20 +106,15 @@ def payload_checksum(payload: PartitionPayload) -> int:
     payload. Computed from the SAME object ``read_partition`` returns,
     so write-side stamping (which re-reads through the same method)
     and read-side verification agree by construction within a backend.
+
+    CRC32 chains over concatenation, so three calls over the joined
+    UTF-8 ids, the ``<i8`` vector-id array and the payload buffer give
+    the same integer as one call per row id, row vector id and row
+    blob: stamps written by the per-row form verify unchanged.
     """
-    crc = 0
-    for asset_id in payload.asset_ids:
-        crc = zlib.crc32(asset_id.encode("utf-8"), crc)
-    for vector_id in payload.vector_ids:
-        crc = zlib.crc32(
-            int(vector_id).to_bytes(8, "little", signed=True), crc
-        )
-    if payload.packed is not None:
-        crc = zlib.crc32(payload.packed, crc)
-    elif payload.blobs:
-        for blob in payload.blobs:
-            crc = zlib.crc32(blob, crc)
-    return crc
+    crc = zlib.crc32("".join(payload.asset_ids).encode("utf-8"))
+    crc = zlib.crc32(np.array(payload.vector_ids, dtype=VID_DTYPE), crc)
+    return zlib.crc32(payload.packed, crc)
 
 
 class StorageBackend(abc.ABC):

@@ -56,6 +56,7 @@ from repro.storage.backends.base import (
     CHECKSUM_KIND_CODES,
     CHECKSUM_KIND_VECTORS,
     SQLITE_ROW_OVERHEAD_BYTES,
+    VID_DTYPE,
     PartitionPayload,
 )
 from repro.storage.backends.sqlite_packed import (
@@ -63,8 +64,6 @@ from repro.storage.backends.sqlite_packed import (
     pack_asset_ids,
     unpack_asset_ids,
 )
-
-_VID_DTYPE = np.dtype("<i8")
 
 #: First bytes of every blob record.
 RECORD_MAGIC = b"MNB1"
@@ -482,7 +481,7 @@ class BlobFileBackend(SQLitePackedBackend):
             bytes(view[ids_off:vids_off]), count
         )
         vector_ids = np.frombuffer(
-            view, dtype=_VID_DTYPE, count=count, offset=vids_off
+            view, dtype=VID_DTYPE, count=count, offset=vids_off
         )
         width = self._row_bytes
         return {
@@ -514,7 +513,7 @@ class BlobFileBackend(SQLitePackedBackend):
         ordered = sorted(rows.items())
         ids_blob = pack_asset_ids(aid for aid, _ in ordered)
         vids_blob = np.array(
-            [vid for _, (vid, _) in ordered], dtype=_VID_DTYPE
+            [vid for _, (vid, _) in ordered], dtype=VID_DTYPE
         ).tobytes()
         payload = b"".join(blob for _, (_, blob) in ordered)
         offset, length = self._append_record(
@@ -610,7 +609,7 @@ class BlobFileBackend(SQLitePackedBackend):
             conn, partition_id, CHECKSUM_KIND_VECTORS
         )
         if loc is None:
-            return PartitionPayload((), (), [], None, 0)
+            return PartitionPayload((), (), b"", 0)
         gen, offset, length, count = loc
         view = self._view(gen, offset, length)
         ids_off, vids_off, payload_off = self._parse_record(
@@ -620,28 +619,23 @@ class BlobFileBackend(SQLitePackedBackend):
             bytes(view[ids_off:vids_off]), count
         )
         vector_ids = tuple(
-            int(v)
-            for v in np.frombuffer(
-                view, dtype=_VID_DTYPE, count=count, offset=vids_off
-            )
+            np.frombuffer(
+                view, dtype=VID_DTYPE, count=count, offset=vids_off
+            ).tolist()
         )
         self.mmap_bytes_served_total += length
         return PartitionPayload(
-            asset_ids=asset_ids,
-            vector_ids=vector_ids,
-            blobs=None,
-            packed=view[payload_off:],
-            stored_bytes=length,
+            asset_ids, vector_ids, view[payload_off:], length
         )
 
     def read_partition_codes(
         self, conn: sqlite3.Connection, partition_id: int
     ) -> PartitionPayload:
         if partition_id == DELTA_PARTITION_ID:
-            return PartitionPayload((), (), [], None, 0)
+            return PartitionPayload((), (), b"", 0)
         loc = self._locator_row(conn, partition_id, CHECKSUM_KIND_CODES)
         if loc is None:
-            return PartitionPayload((), (), [], None, 0)
+            return PartitionPayload((), (), b"", 0)
         gen, offset, length, count = loc
         view = self._view(gen, offset, length)
         ids_off, vids_off, payload_off = self._parse_record(
@@ -652,11 +646,7 @@ class BlobFileBackend(SQLitePackedBackend):
         )
         self.mmap_bytes_served_total += length
         return PartitionPayload(
-            asset_ids=asset_ids,
-            vector_ids=(0,) * count,
-            blobs=None,
-            packed=view[payload_off:],
-            stored_bytes=length,
+            asset_ids, (0,) * count, view[payload_off:], length
         )
 
     def _slice_vector(

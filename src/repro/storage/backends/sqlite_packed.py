@@ -39,13 +39,12 @@ from repro.storage import schema as schema_mod
 from repro.storage.backends.base import (
     PACKED_PARTITION_OVERHEAD_BYTES,
     SQLITE_ROW_OVERHEAD_BYTES,
+    VID_DTYPE,
     PartitionPayload,
     SQLiteFileConnectionsMixin,
     StorageBackend,
 )
-from repro.storage.cache import ROW_ID_OVERHEAD_BYTES
-
-_VID_DTYPE = np.dtype("<i8")
+from repro.storage.backends.sqlite_row import payload_of_rows
 
 
 def pack_asset_ids(asset_ids: Iterable[str]) -> bytes:
@@ -147,7 +146,7 @@ class SQLitePackedBackend(SQLiteFileConnectionsMixin, StorageBackend):
             return {}
         count = int(row[0])
         asset_ids = unpack_asset_ids(row[1], count)
-        vector_ids = np.frombuffer(row[2], dtype=_VID_DTYPE)
+        vector_ids = np.frombuffer(row[2], dtype=VID_DTYPE)
         payload = memoryview(row[3])
         width = self._row_bytes
         self._check_payload(partition_id, count, len(row[3]), width)
@@ -192,7 +191,7 @@ class SQLitePackedBackend(SQLiteFileConnectionsMixin, StorageBackend):
                 len(ordered),
                 pack_asset_ids(aid for aid, _ in ordered),
                 np.array(
-                    [vid for _, (vid, _) in ordered], dtype=_VID_DTYPE
+                    [vid for _, (vid, _) in ordered], dtype=VID_DTYPE
                 ).tobytes(),
                 b"".join(blob for _, (_, blob) in ordered),
             ),
@@ -486,20 +485,12 @@ class SQLitePackedBackend(SQLiteFileConnectionsMixin, StorageBackend):
         self, conn: sqlite3.Connection, partition_id: int
     ) -> PartitionPayload:
         if partition_id == DELTA_PARTITION_ID:
-            rows = conn.execute(
-                "SELECT asset_id, vector_id, vector FROM delta_vectors "
-                "ORDER BY asset_id, vector_id"
-            ).fetchall()
-            blobs = [r[2] for r in rows]
-            stored = sum(len(b) for b in blobs) + (
-                ROW_ID_OVERHEAD_BYTES + SQLITE_ROW_OVERHEAD_BYTES
-            ) * len(rows)
-            return PartitionPayload(
-                asset_ids=tuple(r[0] for r in rows),
-                vector_ids=tuple(int(r[1]) for r in rows),
-                blobs=blobs,
-                packed=None,
-                stored_bytes=stored,
+            return payload_of_rows(
+                conn.execute(
+                    "SELECT asset_id, vector_id, vector FROM delta_vectors "
+                    "ORDER BY asset_id, vector_id"
+                ).fetchall(),
+                unstamped=True,
             )
         row = conn.execute(
             "SELECT row_count, asset_ids, vector_ids, vectors "
@@ -507,52 +498,38 @@ class SQLitePackedBackend(SQLiteFileConnectionsMixin, StorageBackend):
             (partition_id,),
         ).fetchone()
         if row is None:
-            return PartitionPayload((), (), [], None, 0)
+            return PartitionPayload((), (), b"", 0)
         count = int(row[0])
         asset_ids = unpack_asset_ids(row[1], count)
-        vector_ids = tuple(
-            int(v) for v in np.frombuffer(row[2], dtype=_VID_DTYPE)
-        )
+        vector_ids = tuple(np.frombuffer(row[2], dtype=VID_DTYPE).tolist())
         stored = (
             len(row[1])
             + len(row[2])
             + len(row[3])
             + PACKED_PARTITION_OVERHEAD_BYTES
         )
-        return PartitionPayload(
-            asset_ids=asset_ids,
-            vector_ids=vector_ids,
-            blobs=None,
-            packed=row[3],
-            stored_bytes=stored,
-        )
+        return PartitionPayload(asset_ids, vector_ids, row[3], stored)
 
     def read_partition_codes(
         self, conn: sqlite3.Connection, partition_id: int
     ) -> PartitionPayload:
         if partition_id == DELTA_PARTITION_ID:
-            return PartitionPayload((), (), [], None, 0)
+            return PartitionPayload((), (), b"", 0)
         row = conn.execute(
             "SELECT row_count, asset_ids, codes FROM packed_codes "
             "WHERE partition_id=?",
             (partition_id,),
         ).fetchone()
         if row is None:
-            return PartitionPayload((), (), [], None, 0)
+            return PartitionPayload((), (), b"", 0)
         count = int(row[0])
         asset_ids = unpack_asset_ids(row[1], count)
         stored = (
             len(row[1]) + len(row[2]) + PACKED_PARTITION_OVERHEAD_BYTES
         )
-        return PartitionPayload(
-            asset_ids=asset_ids,
-            # Vector ids are not materialized in the codes blob; scan
-            # consumers identify rows by asset id.
-            vector_ids=(0,) * count,
-            blobs=None,
-            packed=row[2],
-            stored_bytes=stored,
-        )
+        # Vector ids are not materialized in the codes blob; scan
+        # consumers identify rows by asset id.
+        return PartitionPayload(asset_ids, (0,) * count, row[2], stored)
 
     def _slice_vector(
         self, conn: sqlite3.Connection, pid: int, row_index: int

@@ -14,9 +14,11 @@ The layout logic lives in :class:`RowLayoutSQL` so the memory backend
 from __future__ import annotations
 
 import sqlite3
+import threading
 from typing import Callable, Iterator, Sequence
 
 from repro.core.config import DELTA_PARTITION_ID
+from repro.core.errors import StorageError
 from repro.storage import schema as schema_mod
 from repro.storage.backends.base import (
     SQLITE_ROW_OVERHEAD_BYTES,
@@ -33,8 +35,38 @@ from repro.storage.cache import ROW_ID_OVERHEAD_BYTES
 _FULL_ROW_OVERHEAD = ROW_ID_OVERHEAD_BYTES + SQLITE_ROW_OVERHEAD_BYTES
 
 
+def payload_of_rows(
+    rows: list[tuple[str, int, bytes]], unstamped: bool
+) -> PartitionPayload:
+    """``(asset_id, vector_id, blob)`` rows as one partition payload:
+    the columns are split and the blobs joined in one call each.
+
+    The engine validates blob widths by the joined length, which a
+    stamped partition's CRC backs up. ``unstamped`` rows (the delta
+    carries no checksum) get the per-row check here, or mis-sized
+    blobs adding up to the right total would be reinterpreted with
+    shifted row boundaries.
+    """
+    if not rows:
+        return PartitionPayload((), (), b"", 0)
+    asset_ids, vector_ids, blobs = zip(*rows)
+    if unstamped and len(set(map(len, blobs))) > 1:
+        raise StorageError("delta rows hold blobs of different widths")
+    packed = b"".join(blobs)
+    return PartitionPayload(
+        asset_ids,
+        vector_ids,
+        packed,
+        len(packed) + _FULL_ROW_OVERHEAD * len(rows),
+    )
+
+
 class RowLayoutSQL(StorageBackend):
     """The row-per-vector table layout, connection strategy left open."""
+
+    def __init__(self, path: str, config) -> None:
+        super().__init__(path, config)
+        self._row_scan_turn = threading.Lock()
 
     def create_layout_tables(
         self, conn: sqlite3.Connection, use_quantization: bool
@@ -183,42 +215,45 @@ class RowLayoutSQL(StorageBackend):
     def read_partition(
         self, conn: sqlite3.Connection, partition_id: int
     ) -> PartitionPayload:
-        rows = conn.execute(
+        return self._read_rows(
+            conn,
             "SELECT asset_id, vector_id, vector FROM vectors "
             "WHERE partition_id=? ORDER BY asset_id, vector_id",
-            (partition_id,),
-        ).fetchall()
-        blobs = [r[2] for r in rows]
-        stored = sum(len(b) for b in blobs) + _FULL_ROW_OVERHEAD * len(
-            rows
-        )
-        return PartitionPayload(
-            asset_ids=tuple(r[0] for r in rows),
-            vector_ids=tuple(int(r[1]) for r in rows),
-            blobs=blobs,
-            packed=None,
-            stored_bytes=stored,
+            partition_id,
         )
 
     def read_partition_codes(
         self, conn: sqlite3.Connection, partition_id: int
     ) -> PartitionPayload:
-        rows = conn.execute(
+        return self._read_rows(
+            conn,
             "SELECT asset_id, vector_id, code FROM vector_codes "
             "WHERE partition_id=? ORDER BY asset_id, vector_id",
-            (partition_id,),
-        ).fetchall()
-        blobs = [r[2] for r in rows]
-        stored = sum(len(b) for b in blobs) + _FULL_ROW_OVERHEAD * len(
-            rows
+            partition_id,
         )
-        return PartitionPayload(
-            asset_ids=tuple(r[0] for r in rows),
-            vector_ids=tuple(int(r[1]) for r in rows),
-            blobs=blobs,
-            packed=None,
-            stored_bytes=stored,
-        )
+
+    def _read_rows(
+        self, conn: sqlite3.Connection, sql: str, partition_id: int
+    ) -> PartitionPayload:
+        """One partition's rows; concurrent callers take turns.
+
+        On this layout a partition read is one ``sqlite3_step`` per
+        vector, each a GIL release and re-take, so two reads in flight
+        trade the GIL row by row instead of overlapping. Measured with
+        two I/O threads under the 2 ms seek model (50k x 128, 17 cold
+        loads, serial cold p50 39-41 ms), on a 2-vCPU VM: 31-35 ms
+        colliding against 25-26 ms taking turns while cross-CPU
+        wake-ups were slow (right after an index build), 21.9 against
+        22.5 ms at rest. The price: page reads that block inside a
+        step do not overlap across threads on this layout. With the OS
+        page cache dropped before every query (0.9 ms per load) that
+        was not measurable on the same VM - 16-18 ms with turns,
+        without, and serial. The packed and blob-file layouts read one
+        row per partition and take no turn.
+        """
+        with self._row_scan_turn:
+            rows = conn.execute(sql, (partition_id,)).fetchall()
+        return payload_of_rows(rows, partition_id == DELTA_PARTITION_ID)
 
     def fetch_vector_blobs(
         self,

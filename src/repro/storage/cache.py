@@ -88,6 +88,14 @@ class PartitionCache:
     Entries larger than the whole budget are admitted transiently by the
     caller but never cached (otherwise a single mega-partition would
     evict everything and still not fit).
+
+    Every invalidation bumps a generation counter. A loader reads it
+    BEFORE pinning the database snapshot it loads from and hands it
+    back to :meth:`put`; a write that committed and invalidated in
+    between has moved the counter, so the pre-write entry is rejected
+    instead of re-cached behind the invalidation (the same guard as
+    :class:`DeltaCodesCache`). The counter is per cache, not per
+    partition: a load overlapping any write is simply not cached.
     """
 
     def __init__(
@@ -104,6 +112,11 @@ class PartitionCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict[int, CachedPartition] = OrderedDict()
         self._used = 0
+        self._generation = 0
+
+    def generation(self) -> int:
+        """Invalidation counter; read BEFORE pinning the read snapshot."""
+        return self._generation
 
     @property
     def budget_bytes(self) -> int:
@@ -141,16 +154,21 @@ class PartitionCache:
                 self._entries.move_to_end(partition_id)
             return entry
 
-    def put(self, entry: CachedPartition) -> bool:
+    def put(
+        self, entry: CachedPartition, generation: int | None = None
+    ) -> bool:
         """Insert a partition, evicting LRU entries to fit the budget.
 
         Returns ``True`` if the entry was cached, ``False`` if it was
-        too large for the budget and was rejected.
+        too large for the budget, or was loaded at a ``generation``
+        that an invalidation has since moved past, and was rejected.
         """
         nbytes = entry.nbytes
         if nbytes > self._budget:
             return False
         with self._lock:
+            if generation is not None and generation != self._generation:
+                return False
             old = self._entries.pop(entry.partition_id, None)
             if old is not None:
                 self._used -= old.nbytes
@@ -165,21 +183,33 @@ class PartitionCache:
     def invalidate(self, partition_id: int) -> None:
         """Drop one partition (called by writers that touched it)."""
         with self._lock:
+            self._generation += 1
             entry = self._entries.pop(partition_id, None)
             if entry is not None:
                 self._used -= entry.nbytes
                 self._sync_tracker()
 
+    def invalidate_containing(self, asset_ids: set[str]) -> None:
+        """Drop every partition holding any of ``asset_ids``.
+
+        The generation moves even when no cached entry matches: the
+        partition that held a rewritten row may be mid-load from a
+        pre-write snapshot right now.
+        """
+        with self._lock:
+            self._generation += 1
+            entries = list(self._entries.values())
+        for entry in entries:
+            if asset_ids.intersection(entry.asset_ids):
+                self.invalidate(entry.partition_id)
+
     def clear(self) -> None:
         """Drop everything (cold-start scenario, or full rebuild)."""
         with self._lock:
+            self._generation += 1
             self._entries.clear()
             self._used = 0
             self._sync_tracker()
-
-    def cached_partition_ids(self) -> tuple[int, ...]:
-        with self._lock:
-            return tuple(self._entries.keys())
 
     def _sync_tracker(self) -> None:
         # Caller holds self._lock.
@@ -248,6 +278,18 @@ class DeltaCodesCache:
             self._generation += 1
             self._entry = None
             self._sync_tracker()
+
+    def invalidate_containing(self, asset_ids: set[str]) -> None:
+        """Drop the codes if they hold any of ``asset_ids`` (a delete);
+        an encode in flight from a pre-write snapshot is rejected
+        either way."""
+        with self._lock:
+            self._generation += 1
+            if self._entry is not None and asset_ids.intersection(
+                self._entry.asset_ids
+            ):
+                self._entry = None
+                self._sync_tracker()
 
     def __len__(self) -> int:
         with self._lock:

@@ -56,55 +56,21 @@ def decode_matrix(blobs: list[bytes], dim: int) -> np.ndarray:
     bulk copy rather than n small ones; the result is the matrix handed
     directly to the BLAS-backed distance kernels.
     """
-    if not blobs:
-        return np.empty((0, dim), dtype=VECTOR_DTYPE)
-    expected = dim * VECTOR_DTYPE.itemsize
-    for blob in blobs:
-        if len(blob) != expected:
-            raise StorageError(
-                f"vector blob has {len(blob)} bytes, expected {expected}"
-            )
+    return _decode(blobs, dim, VECTOR_DTYPE, "vector")
+
+
+def _decode(
+    blobs: list[bytes], dim: int, dtype: np.dtype, what: str
+) -> np.ndarray:
+    """Join once, validate the blob widths by the total, reinterpret."""
     joined = b"".join(blobs)
-    matrix = np.frombuffer(joined, dtype=VECTOR_DTYPE)
-    return matrix.reshape(len(blobs), dim)
-
-
-def decode_matrix_into(
-    blobs: list[bytes], dim: int, out: np.ndarray
-) -> np.ndarray:
-    """Decode blobs into a caller-provided (n, dim) float32 matrix.
-
-    The pipelined scan's allocation-free twin of :func:`decode_matrix`:
-    rows are copied straight into ``out`` (a scratch-buffer view), so a
-    cold scan recycles a handful of buffers instead of allocating one
-    matrix per partition per query. Returns ``out``.
-    """
-    return _decode_into(blobs, dim, out, VECTOR_DTYPE)
-
-
-def decode_code_matrix_into(
-    blobs: list[bytes], dim: int, out: np.ndarray
-) -> np.ndarray:
-    """Decode SQ8 code blobs into a caller-provided (n, dim) uint8 matrix."""
-    return _decode_into(blobs, dim, out, CODE_DTYPE)
-
-
-def _decode_into(
-    blobs: list[bytes], dim: int, out: np.ndarray, dtype: np.dtype
-) -> np.ndarray:
-    if out.shape != (len(blobs), dim) or out.dtype != dtype:
+    expected = len(blobs) * dim * dtype.itemsize
+    if len(joined) != expected:
         raise StorageError(
-            f"output buffer must be {dtype} of shape ({len(blobs)}, {dim}),"
-            f" got {out.dtype} {out.shape}"
+            f"{len(blobs)} {what} blobs hold {len(joined)} bytes, "
+            f"expected {expected}"
         )
-    expected = dim * dtype.itemsize
-    for i, blob in enumerate(blobs):
-        if len(blob) != expected:
-            raise StorageError(
-                f"vector blob has {len(blob)} bytes, expected {expected}"
-            )
-        out[i] = np.frombuffer(blob, dtype=dtype)
-    return out
+    return np.frombuffer(joined, dtype=dtype).reshape(len(blobs), dim)
 
 
 def encode_matrix(matrix: np.ndarray) -> list[bytes]:
@@ -134,13 +100,4 @@ def encode_code_matrix(codes: np.ndarray) -> list[bytes]:
 
 def decode_code_matrix(blobs: list[bytes], dim: int) -> np.ndarray:
     """Decode code blobs into a contiguous (n, dim) uint8 matrix."""
-    if not blobs:
-        return np.empty((0, dim), dtype=CODE_DTYPE)
-    for blob in blobs:
-        if len(blob) != dim:
-            raise StorageError(
-                f"code blob has {len(blob)} bytes, expected {dim}"
-            )
-    joined = b"".join(blobs)
-    matrix = np.frombuffer(joined, dtype=CODE_DTYPE)
-    return matrix.reshape(len(blobs), dim)
+    return _decode(blobs, dim, CODE_DTYPE, "code")

@@ -74,10 +74,7 @@ from repro.storage.cache import (
 from repro.storage.codec import (
     CODE_DTYPE,
     VECTOR_DTYPE,
-    decode_code_matrix,
-    decode_code_matrix_into,
     decode_matrix,
-    decode_matrix_into,
     decode_vector,
     encode_code_matrix,
     encode_vector,
@@ -131,6 +128,31 @@ def commit_points_for(backend_kind: str) -> tuple[str, ...]:
     if kind == "blobfile":
         return COMMIT_POINTS + ("compact",)
     return COMMIT_POINTS
+
+
+#: Weight of the newest sample in the seconds-per-cold-load estimate.
+#: From page-cache speed (0.2 ms), four 2 ms reads after a cold start
+#: carry it past 1 ms, while a lone scheduling hiccup must exceed 6 ms
+#: to.
+_COLD_LOAD_WEIGHT = 0.125
+
+
+@dataclass(frozen=True)
+class _PayloadKind:
+    """What differs between a float32 and a scan-code partition load."""
+
+    #: Checksum kind; also the ``kind`` label of the load counters.
+    name: str
+    dtype: np.dtype
+    #: Elements per row: ``dim``, or the scan-code width.
+    width: int
+    cache: PartitionCache
+    read: Callable[[sqlite3.Connection, int], PartitionPayload]
+    #: Simulated OS page cache: partitions read since the last purge.
+    os_cached: set[int]
+    count_hot: Callable[[], None]
+    count_cold: Callable[[], None]
+    count_bytes: Callable[[float], None]
 
 
 @dataclass(frozen=True)
@@ -307,16 +329,49 @@ class StorageEngine:
             max_partitions=config.workload_heatmap_partitions,
         )
         self.auditor = None
-        self._m_loads = self.metrics.counter(
+        loads = self.metrics.counter(
             "micronn_partition_loads_total",
             "Partition loads by payload kind and cache temperature.",
             labels=("backend", "kind", "temperature"),
         )
-        self._m_load_bytes = self.metrics.counter(
+        load_bytes = self.metrics.counter(
             "micronn_partition_bytes_read_total",
             "Stored bytes read for cold partition loads.",
             labels=("backend", "kind"),
         )
+
+        def payload_kind(name, dtype, width, cache, read, os_cached):
+            # Label keys are resolved here, once, not on every load.
+            by = {"backend": self._backend.kind, "kind": name}
+            return _PayloadKind(
+                name,
+                dtype,
+                width,
+                cache,
+                read,
+                os_cached,
+                count_hot=loads.bound(temperature="hot", **by),
+                count_cold=loads.bound(temperature="cold", **by),
+                count_bytes=load_bytes.bound(**by),
+            )
+
+        self._vector_loads = payload_kind(
+            CHECKSUM_KIND_VECTORS,
+            VECTOR_DTYPE,
+            config.dim,
+            self.cache,
+            self._backend.read_partition,
+            self._os_cached_partitions,
+        )
+        self._code_loads = payload_kind(
+            CHECKSUM_KIND_CODES,
+            CODE_DTYPE,
+            self._code_width,
+            self.codes_cache,
+            self._backend.read_partition_codes,
+            self._os_cached_code_partitions,
+        )
+        self._cold_load_s: float | None = None
         self._m_quarantined = self.metrics.counter(
             "micronn_partitions_quarantined_total",
             "Partitions quarantined by integrity-check failures.",
@@ -533,16 +588,37 @@ class StorageEngine:
         its first read; everything inside the ``with`` block sees one
         consistent state even while the writer commits concurrently.
 
+        Re-entrant per thread: a ``read_snapshot()`` opened while this
+        thread's reader already holds one joins it (the reader runs no
+        other transactions, so ``in_transaction`` means exactly that).
+        A serial scan opens one around its loads, so a query's cold
+        partitions all come from one database state, in one
+        transaction.
+
+        Opening (not joining) a snapshot first notes each cache's
+        invalidation generation for this thread. A load inside the
+        block hands that value to the cache's ``put``: a write that
+        committed and invalidated after the snapshot was pinned has
+        moved the generation, so the pre-write partition this snapshot
+        still reads is served to this scan but not cached for the next.
+
         A shared-connection backend (memory) has no WAL snapshots:
         reads serialize behind the writer lock instead — the lock is
-        re-entrant, so same-thread writes inside the block still work.
+        re-entrant, so same-thread writes inside the block still work
+        (and are read back at once, so every entry re-notes the
+        generations).
         """
         if self._backend.shared_connection:
             self._check_open()
             with self._writer_lock:
+                self._note_cache_generations()
                 yield self._writer
             return
         conn = self._reader()
+        if conn.in_transaction:
+            yield conn
+            return
+        self._note_cache_generations()
         conn.execute("BEGIN DEFERRED")
         try:
             yield conn
@@ -550,13 +626,19 @@ class StorageEngine:
             with contextlib.suppress(sqlite3.Error):
                 conn.execute("COMMIT")
 
+    def _note_cache_generations(self) -> None:
+        self._local.cache_generations = {
+            cache: cache.generation()
+            for cache in (self.cache, self.codes_cache, self.delta_codes)
+        }
+
     @contextlib.contextmanager
     def _plain_reader(self) -> Iterator[sqlite3.Connection]:
         """A connection for a single autocommit point-read.
 
         File backends hand out the thread-local reader WITHOUT opening
-        a transaction (callers may already hold a snapshot on the same
-        connection, where a nested BEGIN would fail); the shared-
+        a transaction (a point-read needs no snapshot, and inside a
+        caller's snapshot it reads from that one); the shared-
         connection backend serializes behind the writer lock.
         """
         if self._backend.shared_connection:
@@ -702,31 +784,17 @@ class StorageEngine:
             # The fresh vectors are in the delta; cached delta codes
             # predate them and must not serve another scan.
             self.delta_codes.invalidate()
-        self._invalidate_partitions_of(records)
+        self._invalidate_assets({r.asset_id for r in records})
         return len(records)
 
-    def _invalidate_codes_for(self, asset_ids: Iterable[str]) -> None:
-        """Drop cached code partitions containing any of the assets."""
-        touched = set(asset_ids)
-        for pid in self.codes_cache.cached_partition_ids():
-            entry = self.codes_cache.get(pid)
-            if entry is not None and touched.intersection(entry.asset_ids):
-                self.codes_cache.invalidate(pid)
-
-    def _invalidate_partitions_of(
-        self, records: Sequence[VectorRecord]
-    ) -> None:
-        # After the transaction the rows are already in the delta, so we
-        # cannot know the prior partition; invalidate all cached
-        # partitions that could contain any of the asset ids by dropping
-        # entries containing those ids.
-        touched = {r.asset_id for r in records}
-        for pid in self.cache.cached_partition_ids():
-            entry = self.cache.get(pid)
-            if entry is not None and touched.intersection(entry.asset_ids):
-                self.cache.invalidate(pid)
+    def _invalidate_assets(self, touched: set[str]) -> None:
+        """Drop cached partitions (and code partitions) holding any of
+        the assets. Called after the commit, when the rows have already
+        moved and their prior partition is no longer known."""
+        self.cache.invalidate_containing(touched)
         if self._use_quantization:
-            self._invalidate_codes_for(touched)
+            self.codes_cache.invalidate_containing(touched)
+            self.delta_codes.invalidate_containing(touched)
 
     def _validate_attributes(self, attributes: Mapping[str, object]) -> None:
         declared = self._config.normalized_attributes
@@ -822,18 +890,7 @@ class StorageEngine:
                 conn, touched_pids, self._use_quantization
             )
         # Deleted rows may be cached inside any partition entry.
-        touched = set(ids)
-        for pid in self.cache.cached_partition_ids():
-            entry = self.cache.get(pid)
-            if entry is not None and touched.intersection(entry.asset_ids):
-                self.cache.invalidate(pid)
-        if self._use_quantization:
-            self._invalidate_codes_for(touched)
-            delta_entry = self.delta_codes.get()
-            if delta_entry is not None and touched.intersection(
-                delta_entry.asset_ids
-            ):
-                self.delta_codes.invalidate()
+        self._invalidate_assets(set(ids))
         return deleted
 
     # ------------------------------------------------------------------
@@ -1049,98 +1106,156 @@ class StorageEngine:
     # Reads: partitions and vectors
     # ------------------------------------------------------------------
 
-    def _decode_blobs(
-        self,
-        blobs: list[bytes],
-        dtype: np.dtype,
-        cache: PartitionCache,
-        use_scratch: bool,
-        decode: Callable[[list[bytes], int], np.ndarray],
-        decode_into: Callable[[list[bytes], int, np.ndarray], np.ndarray],
-        width: int,
-    ) -> tuple[np.ndarray, ScratchLease | None]:
-        """Decode partition blobs, through scratch when never-cacheable.
-
-        ``width`` is the per-row element count: ``dim`` for float32
-        partitions and SQ8 codes, ``pq_num_subvectors`` for PQ codes.
-        ``use_scratch`` loads that ``cache`` could not admit anyway
-        (the admission estimate uses the same per-row constant as
-        ``CachedPartition.nbytes``) are decoded into a pooled scratch
-        lease, returned alongside the matrix for the caller to release
-        after scoring; everything else decodes into a fresh matrix.
-        """
-        if use_scratch and blobs:
-            nbytes = len(blobs) * width * dtype.itemsize
-            estimate = nbytes + ROW_ID_OVERHEAD_BYTES * len(blobs)
-            if not cache.would_admit(estimate):
-                lease = self.scratch.checkout(nbytes)
-                try:
-                    out = lease.array((len(blobs), width), dtype)
-                    return decode_into(blobs, width, out), lease
-                except BaseException:
-                    lease.release()
-                    raise
-        return decode(blobs, width), None
-
     def _materialize(
-        self,
-        payload: PartitionPayload,
-        dtype: np.dtype,
-        cache: PartitionCache,
-        use_scratch: bool,
-        decode: Callable[[list[bytes], int], np.ndarray],
-        decode_into: Callable[[list[bytes], int, np.ndarray], np.ndarray],
-        width: int,
+        self, payload: PartitionPayload, kind: _PayloadKind, use_scratch: bool
     ) -> tuple[np.ndarray, ScratchLease | None]:
-        """Decode a backend payload — per-row blobs or one packed blob.
+        """Reinterpret a payload's buffer as the partition matrix.
 
-        The packed path is a zero-copy reinterpretation of the blob
-        (plus one copy into the cacheable/scratch destination), with
-        the same scratch-admission rule as the per-row path.
+        The buffer IS the matrix (a read-only view, zero-copy); row
+        widths are validated by the total length. Only a ``use_scratch``
+        load of a partition ``kind.cache`` could not admit anyway (the
+        admission estimate uses the same per-row constant as
+        ``CachedPartition.nbytes``) is copied — into a pooled scratch
+        lease, returned alongside the matrix for the caller to release
+        after scoring. A backend serving mmap views skips that too: the
+        mapped bytes stay valid for the life of the view (records are
+        append-only within a generation, and a compaction swap keeps
+        the retired mapping alive until its views die).
         """
-        if payload.packed is None:
-            return self._decode_blobs(
-                payload.blobs or [],
-                dtype,
-                cache,
-                use_scratch,
-                decode,
-                decode_into,
-                width,
-            )
-        count = len(payload.asset_ids)
-        expected = count * width * dtype.itemsize
-        if len(payload.packed) != expected:
+        count = len(payload)
+        nbytes = count * kind.width * kind.dtype.itemsize
+        if len(payload.packed) != nbytes:
             raise StorageError(
-                f"packed partition blob holds {len(payload.packed)} "
-                f"bytes, expected {expected} ({count} rows of "
-                f"{width} x {dtype.itemsize}-byte elements)"
+                f"partition payload holds {len(payload.packed)} bytes, "
+                f"expected {nbytes} ({count} rows of {kind.width} x "
+                f"{kind.dtype.itemsize}-byte elements)"
             )
-        source = np.frombuffer(payload.packed, dtype=dtype).reshape(
-            count, width
+        source = np.frombuffer(payload.packed, dtype=kind.dtype).reshape(
+            count, kind.width
         )
-        if self._serves_views:
-            # Zero-copy path (blobfile): ``packed`` is a read-only
-            # view over the backend's mmap, so the reinterpretation
-            # above IS the partition matrix — no float/code buffer is
-            # materialized and no scratch lease is needed. The mapped
-            # bytes stay valid for the life of the view: records are
-            # append-only within a generation, and a compaction swap
-            # keeps the retired mapping alive until its views die.
-            return source, None
-        if use_scratch and count:
-            nbytes = count * width * dtype.itemsize
-            estimate = nbytes + ROW_ID_OVERHEAD_BYTES * count
-            if not cache.would_admit(estimate):
-                lease = self.scratch.checkout(nbytes)
-                try:
-                    out = lease.array((count, width), dtype)
-                    np.copyto(out, source)
-                    return out, lease
-                except BaseException:
-                    lease.release()
-                    raise
-        return source.copy(), None
+        if (
+            use_scratch
+            and count
+            and not self._serves_views
+            and not kind.cache.would_admit(
+                nbytes + ROW_ID_OVERHEAD_BYTES * count
+            )
+        ):
+            lease = self.scratch.checkout(nbytes)
+            try:
+                out = lease.array((count, kind.width), kind.dtype)
+                np.copyto(out, source)
+                return out, lease
+            except BaseException:
+                lease.release()
+                raise
+        return source, None
+
+    def _load(
+        self,
+        kind: _PayloadKind,
+        partition_id: int,
+        use_cache: bool,
+        use_scratch: bool,
+    ) -> CachedPartition:
+        """One partition load of either payload kind (cache-aware).
+
+        A cold load costs a constant number of Python-level calls: one
+        row select, one checksum select, three CRC calls, one
+        reinterpretation. Nested inside a caller's
+        :meth:`read_snapshot` it adds no transaction of its own.
+        """
+        self._check_open()
+        is_delta = partition_id == DELTA_PARTITION_ID
+        if not is_delta and self.is_quarantined(partition_id):
+            self._accountant.record_quarantined()
+            self.workload.record_quarantine_hit(partition_id)
+            return self._empty_entry(partition_id, kind.dtype)
+        if use_cache:
+            cached = kind.cache.get(partition_id)
+            if cached is not None:
+                self._accountant.record_cache_hit()
+                kind.count_hot()
+                self.workload.record_access(partition_id, 0, hot=True)
+                return cached
+            self._accountant.record_cache_miss()
+        # Cold read: verify the payload against its stored CRC (stamped
+        # by every write that touched the partition). The delta is
+        # exempt — it is rewritten too often to checksum per upsert and
+        # a corrupt delta is a hard error, not a degradable one.
+        start = time.perf_counter()
+        try:
+            with self.read_snapshot() as conn:
+                generation = self._local.cache_generations[kind.cache]
+                payload = kind.read(conn, partition_id)
+                expected = (
+                    None
+                    if is_delta
+                    else self._stored_checksum(
+                        conn, partition_id, kind.name
+                    )
+                )
+            if (
+                expected is not None
+                and payload_checksum(payload) != expected
+            ):
+                raise StorageError(f"{kind.name} payload checksum mismatch")
+            matrix, lease = self._materialize(payload, kind, use_scratch)
+        except (StorageError, ValueError) as exc:
+            if is_delta:
+                raise
+            return self._quarantine(partition_id, str(exc), kind.dtype)
+        entry = CachedPartition(
+            partition_id=partition_id,
+            asset_ids=payload.asset_ids,
+            vector_ids=payload.vector_ids,
+            matrix=matrix,
+            lease=lease,
+            stored_bytes=payload.stored_bytes,
+        )
+        with self._os_cache_lock:
+            charge = partition_id not in kind.os_cached
+            kind.os_cached.add(partition_id)
+        self._accountant.record_read(
+            payload.stored_bytes, charge_cost=charge
+        )
+        took = time.perf_counter() - start
+        seen = self._cold_load_s
+        if len(payload) and (
+            seen is None or not use_scratch or took < seen
+        ):
+            # The running seconds-per-cold-load estimate (simulated
+            # latency included: record_read sleeps it; an empty
+            # partition read nothing and says nothing). Only I/O
+            # stages running beside scoring threads (pipeline
+            # producers, the serve scheduler) load with use_scratch,
+            # and their wall time also holds GIL hand-offs (measured:
+            # 0.20 ms serial, 2.4 ms behind two I/O threads, same
+            # bytes) — an upper bound, so it may lower the estimate,
+            # never raise it: an engaged pipeline must not keep itself
+            # engaged on its own contention. An unlocked read-
+            # modify-write: a lost update under concurrent loads costs
+            # one sample.
+            self._cold_load_s = (
+                took
+                if seen is None
+                else seen + _COLD_LOAD_WEIGHT * (took - seen)
+            )
+        kind.count_cold()
+        kind.count_bytes(payload.stored_bytes)
+        self.workload.record_access(
+            partition_id, payload.stored_bytes, hot=False
+        )
+        if use_cache and lease is None:
+            kind.cache.put(entry, generation)
+        return entry
+
+    @property
+    def cold_load_seconds(self) -> float | None:
+        """Observed seconds per cold partition load, or None before
+        the first one: an exponentially weighted mean the scan
+        dispatch compares against its pipeline-engagement threshold."""
+        return self._cold_load_s
 
     def load_partition(
         self,
@@ -1156,89 +1271,9 @@ class StorageEngine:
         caller MUST release it (``entry.lease.release()``) once the
         matrix has been consumed.
         """
-        self._check_open()
-        if partition_id != DELTA_PARTITION_ID and self.is_quarantined(
-            partition_id
-        ):
-            self._accountant.record_quarantined()
-            self.workload.record_quarantine_hit(partition_id)
-            return self._empty_entry(partition_id)
-        if use_cache:
-            cached = self.cache.get(partition_id)
-            if cached is not None:
-                self._accountant.record_cache_hit()
-                self._m_loads.inc(
-                    backend=self._backend.kind,
-                    kind="vectors",
-                    temperature="hot",
-                )
-                self.workload.record_access(partition_id, 0, hot=True)
-                return cached
-            self._accountant.record_cache_miss()
-        # Cold read: verify the payload against its stored CRC (stamped
-        # by every write that touched the partition). The delta is
-        # exempt — it is rewritten too often to checksum per upsert and
-        # a corrupt delta is a hard error, not a degradable one.
-        try:
-            with self.read_snapshot() as conn:
-                payload = self._backend.read_partition(
-                    conn, partition_id
-                )
-                expected = (
-                    self._stored_checksum(
-                        conn, partition_id, CHECKSUM_KIND_VECTORS
-                    )
-                    if partition_id != DELTA_PARTITION_ID
-                    else None
-                )
-        except (StorageError, ValueError) as exc:
-            if partition_id == DELTA_PARTITION_ID:
-                raise
-            return self._quarantine(partition_id, str(exc))
-        if expected is not None and payload_checksum(payload) != expected:
-            return self._quarantine(
-                partition_id, "vector payload checksum mismatch"
-            )
-        try:
-            matrix, lease = self._materialize(
-                payload,
-                VECTOR_DTYPE,
-                self.cache,
-                use_scratch,
-                decode_matrix,
-                decode_matrix_into,
-                width=self._config.dim,
-            )
-        except (StorageError, ValueError) as exc:
-            if partition_id == DELTA_PARTITION_ID:
-                raise
-            return self._quarantine(partition_id, str(exc))
-        entry = CachedPartition(
-            partition_id=partition_id,
-            asset_ids=payload.asset_ids,
-            vector_ids=payload.vector_ids,
-            matrix=matrix,
-            lease=lease,
-            stored_bytes=payload.stored_bytes,
+        return self._load(
+            self._vector_loads, partition_id, use_cache, use_scratch
         )
-        with self._os_cache_lock:
-            charge = partition_id not in self._os_cached_partitions
-            self._os_cached_partitions.add(partition_id)
-        self._accountant.record_read(
-            payload.stored_bytes, charge_cost=charge
-        )
-        self._m_loads.inc(
-            backend=self._backend.kind, kind="vectors", temperature="cold"
-        )
-        self._m_load_bytes.inc(
-            payload.stored_bytes, backend=self._backend.kind, kind="vectors"
-        )
-        self.workload.record_access(
-            partition_id, payload.stored_bytes, hot=False
-        )
-        if use_cache and lease is None:
-            self.cache.put(entry)
-        return entry
 
     def fetch_vectors_by_asset_ids(
         self, asset_ids: Sequence[str], chunk_size: int = 500
@@ -1463,86 +1498,9 @@ class StorageEngine:
         self._check_open()
         if not self._use_quantization:
             raise StorageError("quantization is not enabled for this database")
-        if partition_id != DELTA_PARTITION_ID and self.is_quarantined(
-            partition_id
-        ):
-            self._accountant.record_quarantined()
-            self.workload.record_quarantine_hit(partition_id)
-            return self._empty_entry(partition_id, CODE_DTYPE)
-        if use_cache:
-            cached = self.codes_cache.get(partition_id)
-            if cached is not None:
-                self._accountant.record_cache_hit()
-                self._m_loads.inc(
-                    backend=self._backend.kind,
-                    kind="codes",
-                    temperature="hot",
-                )
-                self.workload.record_access(partition_id, 0, hot=True)
-                return cached
-            self._accountant.record_cache_miss()
-        try:
-            with self.read_snapshot() as conn:
-                payload = self._backend.read_partition_codes(
-                    conn, partition_id
-                )
-                expected = (
-                    self._stored_checksum(
-                        conn, partition_id, CHECKSUM_KIND_CODES
-                    )
-                    if partition_id != DELTA_PARTITION_ID
-                    else None
-                )
-        except (StorageError, ValueError) as exc:
-            if partition_id == DELTA_PARTITION_ID:
-                raise
-            return self._quarantine(partition_id, str(exc), CODE_DTYPE)
-        if expected is not None and payload_checksum(payload) != expected:
-            return self._quarantine(
-                partition_id,
-                "code payload checksum mismatch",
-                CODE_DTYPE,
-            )
-        try:
-            matrix, lease = self._materialize(
-                payload,
-                CODE_DTYPE,
-                self.codes_cache,
-                use_scratch,
-                decode_code_matrix,
-                decode_code_matrix_into,
-                width=self._code_width,
-            )
-        except (StorageError, ValueError) as exc:
-            if partition_id == DELTA_PARTITION_ID:
-                raise
-            return self._quarantine(partition_id, str(exc), CODE_DTYPE)
-        entry = CachedPartition(
-            partition_id=partition_id,
-            asset_ids=payload.asset_ids,
-            vector_ids=payload.vector_ids,
-            matrix=matrix,
-            lease=lease,
-            stored_bytes=payload.stored_bytes,
+        return self._load(
+            self._code_loads, partition_id, use_cache, use_scratch
         )
-        with self._os_cache_lock:
-            charge = partition_id not in self._os_cached_code_partitions
-            self._os_cached_code_partitions.add(partition_id)
-        self._accountant.record_read(
-            payload.stored_bytes, charge_cost=charge
-        )
-        self._m_loads.inc(
-            backend=self._backend.kind, kind="codes", temperature="cold"
-        )
-        self._m_load_bytes.inc(
-            payload.stored_bytes, backend=self._backend.kind, kind="codes"
-        )
-        self.workload.record_access(
-            partition_id, payload.stored_bytes, hot=False
-        )
-        if use_cache and lease is None:
-            self.codes_cache.put(entry)
-        return entry
 
     def load_scan_entry(
         self,
@@ -1609,15 +1567,17 @@ class StorageEngine:
         quantizer = self.load_quantizer()
         if quantizer is None:
             return None
-        # Generation first, THEN the snapshot read: a delta write
-        # committing between the two bumps the generation, so the
+        # The generation noted when the snapshot opened (the caller's
+        # scan-wide one, or this one), THEN the read: a delta write
+        # committing after that bumps the generation, so the
         # (pre-write) entry below is rejected by put() instead of
         # masking the fresh vector from every later scan. This scan
         # still uses the entry — it matches the snapshot it read.
-        generation = self.delta_codes.generation()
-        if self.delta_size() < threshold:
-            return None
-        source = self.load_partition(DELTA_PARTITION_ID)
+        with self.read_snapshot():
+            generation = self._local.cache_generations[self.delta_codes]
+            if self.delta_size() < threshold:
+                return None
+            source = self.load_partition(DELTA_PARTITION_ID)
         if len(source) == 0:
             return None
         entry = CachedPartition(

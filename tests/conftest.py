@@ -51,6 +51,15 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def force_pipeline(monkeypatch) -> None:
+    """Every scan with a cache-missing probe pipelines (given
+    ``pipeline_depth >= 1``), whatever its loads are seen to cost: the
+    engagement threshold is set to zero. THE way the suites that cover
+    the pipelined path reach it on a host whose reads never block."""
+    monkeypatch.setattr("repro.query.pipeline.PIPELINE_MIN_LOAD_S", 0.0)
+
+
+@pytest.fixture
 def small_config() -> MicroNNConfig:
     """A config sized for fast unit tests."""
     return MicroNNConfig(

@@ -27,6 +27,21 @@ class TestInstruments:
         assert snap.value("hits_total", {"kind": "a"}) == 3.0
         assert snap.value("hits_total") == 4.0
 
+    def test_bound_counter_is_inc_with_the_key_resolved_once(self):
+        reg = MetricsRegistry()
+        c = reg.counter("hits_total", "Hits.", labels=("kind", "temp"))
+        hot = c.bound(kind="a", temp="hot")
+        hot()
+        hot(2.0)
+        c.inc(kind="a", temp="hot")
+        assert reg.snapshot().value("hits_total", {"temp": "hot"}) == 4.0
+        assert len(reg.snapshot().family("hits_total").samples) == 1
+        with pytest.raises(ValueError):
+            c.bound(kind="a")  # label mistakes surface at bind time
+        off = MetricsRegistry(enabled=False).counter("z_total")
+        off.bound()()
+        assert off._snapshot_samples() == ()
+
     def test_gauge_set_add_and_callback(self):
         reg = MetricsRegistry()
         g = reg.gauge("depth", "Depth.", labels=("pool",))

@@ -151,7 +151,9 @@ class TestQuantizedAdaptive:
 
 
 class TestPipelinedAdaptive:
-    def test_cold_pipelined_scan_stays_correct(self, tmp_path, rng):
+    def test_cold_pipelined_scan_stays_correct(
+        self, tmp_path, rng, force_pipeline
+    ):
         centers, points = blob_data(rng)
         baseline = make_db(tmp_path, points, "base")
         adaptive = make_db(

@@ -7,7 +7,7 @@ import pytest
 
 from repro import ConfigError, Eq, MicroNN, MicroNNConfig
 from repro.core.types import PlanKind
-from tests.conftest import requires_row_layout
+from tests.conftest import requires_file_backend, requires_row_layout
 
 
 def clustered(rng, n, dim, components=8, spread=6.0):
@@ -443,7 +443,7 @@ class TestPQResults:
             single = db.search(queries[i], k=5, nprobe=6)
             assert result.asset_ids == single.asset_ids
 
-    def test_pipelined_matches_serial(self, tmp_path, rng):
+    def test_pipelined_matches_serial(self, tmp_path, rng, force_pipeline):
         vectors = clustered(rng, 400, 16)
         base = dict(
             dim=16,
@@ -480,6 +480,8 @@ class TestPQResults:
                 piped.purge_caches()
                 a = serial.search(q, k=5, nprobe=8)
                 b = piped.search(q, k=5, nprobe=8)
+                assert b.stats.scan_pipelined
+                assert not a.stats.scan_pipelined
                 assert a.neighbors == b.neighbors
         finally:
             serial.close()
@@ -765,6 +767,34 @@ class TestQuantizedDelta:
         assert cache.get() is None
         assert cache.put(entry, cache.generation()) is True
         assert cache.get() is entry
+
+    @requires_file_backend
+    def test_encode_inside_a_scan_snapshot_spanning_a_write(
+        self, tmp_path, rng
+    ):
+        """The guard in situ: the generation is the one noted when the
+        scan's snapshot opened, not when the encode started."""
+        import threading
+
+        db, vectors = self.make_db(tmp_path, rng, threshold=10)
+        try:
+            db.upsert_batch(
+                (f"u{i:03d}", vectors[i] + 1e-3) for i in range(20)
+            )
+            engine = db.engine
+            fresh = vectors[0] + 1e-5
+            with engine.read_snapshot() as conn:
+                conn.execute("SELECT 1 FROM meta").fetchone()  # pin it
+                t = threading.Thread(target=db.upsert, args=("fresh", fresh))
+                t.start()
+                t.join(timeout=30)
+                entry, is_codes = engine.load_scan_entry(-1, quantized=True)
+                assert is_codes and len(entry) == 20  # pre-write delta
+            assert len(engine.delta_codes) == 0
+            assert "fresh" in db.search(fresh, k=2).asset_ids
+            assert len(engine.delta_codes) == 21
+        finally:
+            db.close()
 
     def test_sq8_delta_encodes_too(self, tmp_path, rng):
         db, vectors = self.make_db(

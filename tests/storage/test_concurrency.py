@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import MicroNN, MicroNNConfig
+from repro import DeviceProfile, MicroNN, MicroNNConfig
 from tests.conftest import requires_file_backend, requires_row_layout
 
 
@@ -182,5 +182,140 @@ class TestSnapshotIsolation:
                 assert during == before  # snapshot unchanged
             # After the snapshot is released the write is visible.
             assert len(db) == before + 1
+        finally:
+            db.close()
+
+    @requires_file_backend
+    def test_nested_read_snapshot_joins_the_outer_one(
+        self, tmp_path, config, rng
+    ):
+        """Re-entrant per thread: the inner block neither opens nor
+        ends a transaction, and a partition load inside it works."""
+        db = MicroNN.open(tmp_path / "c.db", config)
+        try:
+            populate(db, rng, count=60)
+            db.build_index()
+            engine = db.engine
+            with engine.read_snapshot() as outer:
+                with engine.read_snapshot() as inner:
+                    assert inner is outer
+                    pid = next(iter(engine.partition_sizes()))
+                    loaded = engine.load_partition(pid, use_cache=False)
+                    assert len(loaded)
+                assert outer.in_transaction  # inner exit kept it open
+            assert not outer.in_transaction
+        finally:
+            db.close()
+
+    @requires_file_backend
+    def test_serial_scan_reads_all_its_cold_loads_in_one_transaction(
+        self, tmp_path, rng
+    ):
+        config = MicroNNConfig(
+            dim=8,
+            target_cluster_size=10,
+            kmeans_iterations=10,
+            device=DeviceProfile(
+                name="no-cache", worker_threads=2, partition_cache_bytes=0
+            ),
+        )
+        db = MicroNN.open(tmp_path / "c.db", config)
+        try:
+            vecs = populate(db, rng)
+            db.build_index()
+            db.engine.load_centroids()  # its own (cached) read
+            statements: list[str] = []
+            db.engine._reader().set_trace_callback(statements.append)
+            result = db.search(vecs[0], k=5, nprobe=6)
+            db.engine._reader().set_trace_callback(None)
+            assert result.stats.cache_misses >= 6
+            assert not result.stats.scan_pipelined
+            begins = [s for s in statements if s.startswith("BEGIN")]
+            commits = [s for s in statements if s.startswith("COMMIT")]
+            assert len(begins) == 1 and len(commits) == 1
+            selects = [s for s in statements if s.startswith("SELECT")]
+            assert len(selects) >= 2 * 6  # rows + stamp, per cold load
+        finally:
+            db.close()
+
+    def test_memory_backend_snapshot_is_the_writer_lock(self, rng):
+        """No WAL snapshots on the shared connection: nested reads and
+        a same-thread write inside them run behind the re-entrant
+        writer lock, on the writer connection, as before."""
+        config = MicroNNConfig(
+            dim=8,
+            target_cluster_size=10,
+            kmeans_iterations=10,
+            storage_backend="memory",
+        )
+        with MicroNN.open(config=config) as db:
+            vecs = populate(db, rng, count=40)
+            db.build_index()
+            engine = db.engine
+            with engine.read_snapshot() as outer:
+                with engine.read_snapshot() as inner:
+                    assert inner is outer is engine._writer
+                    db.upsert("inside", vecs[0])
+            assert "inside" in db.search(vecs[0], k=2).asset_ids
+
+    @requires_file_backend
+    def test_write_between_two_loads_of_one_scan_is_not_masked(
+        self, tmp_path, config, rng
+    ):
+        """A scan's snapshot outlives a concurrent upsert: the delta it
+        then loads is the pre-write one, good for this scan only — it
+        must not be re-cached behind the writer's invalidation."""
+        db = MicroNN.open(tmp_path / "c.db", config)
+        try:
+            vecs = populate(db, rng, count=60)
+            db.build_index()
+            db.upsert("staged", vecs[1])  # a non-empty delta
+            db.purge_caches()
+            engine = db.engine
+            pid = next(iter(engine.partition_sizes()))
+            fresh = np.full(8, 9.0, dtype=np.float32)
+            with engine.read_snapshot():
+                assert len(engine.load_partition(pid))  # pins the snapshot
+                t = threading.Thread(target=db.upsert, args=("fresh", fresh))
+                t.start()
+                t.join(timeout=30)
+                stale = engine.load_partition(-1)
+                assert "fresh" not in stale.asset_ids  # the old snapshot
+            assert -1 not in engine.cache
+            assert db.search(fresh, k=1).asset_ids == ("fresh",)
+            # Nothing committed during this one: its loads are cached.
+            db.purge_caches()
+            with engine.read_snapshot():
+                engine.load_partition(pid)
+                engine.load_partition(-1)
+            assert pid in engine.cache and -1 in engine.cache
+        finally:
+            db.close()
+
+    @requires_file_backend
+    def test_delete_during_a_scan_snapshot_rejects_the_stale_partition(
+        self, tmp_path, config, rng
+    ):
+        """The deleted row's partition is not cached yet, so no entry
+        matches the invalidation — the generation still has to move."""
+        db = MicroNN.open(tmp_path / "c.db", config)
+        try:
+            vecs = populate(db, rng, count=60)
+            db.build_index()
+            db.purge_caches()
+            engine = db.engine
+            sizes = engine.partition_sizes()
+            first, second = list(sizes)[:2]
+            with engine.read_snapshot():
+                engine.load_partition(first)
+                victim = engine.load_partition(second, use_cache=False)
+                gone = victim.asset_ids[0]
+                t = threading.Thread(target=db.delete, args=(gone,))
+                t.start()
+                t.join(timeout=30)
+                assert gone in engine.load_partition(second).asset_ids
+            assert second not in engine.cache
+            row = int(gone[1:])
+            assert gone not in db.search(vecs[row], k=3, nprobe=99).asset_ids
         finally:
             db.close()

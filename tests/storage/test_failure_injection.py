@@ -49,6 +49,15 @@ class TestCorruption:
         with pytest.raises(StorageError):
             db.get_vector("a01")
 
+    def test_compensating_blob_widths_in_the_delta_detected(self, db, rng):
+        """The delta carries no checksum: two mis-sized blobs whose
+        lengths add up to the right total must not be reinterpreted
+        with shifted row boundaries."""
+        corrupt_blob(db, "a00", b"\x00" * 12)
+        corrupt_blob(db, "a01", b"\x00" * 20)
+        with pytest.raises(StorageError, match="widths"):
+            db.search(rng.normal(size=4).astype(np.float32), k=5)
+
     def test_other_rows_unaffected(self, db):
         corrupt_blob(db, "a00", b"\x00" * 7)
         assert db.get_vector("a05") is not None

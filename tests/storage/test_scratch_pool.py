@@ -181,6 +181,7 @@ def cold_device(scratch_bytes: int = 1 << 22) -> DeviceProfile:
     _PHYSICAL_BACKEND == "blobfile",
     reason="blobfile serves zero-copy mmap views and never leases scratch",
 )
+@pytest.mark.usefixtures("force_pipeline")
 class TestEngineIntegration:
     def _open(self, rng, quantization: str = "none") -> MicroNN:
         config = MicroNNConfig(
