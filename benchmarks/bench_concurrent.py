@@ -6,7 +6,14 @@ cold-cache clients through the :mod:`repro.serve` scheduler must reach
 ``search()``, return **bit-identical neighbor sets**, and read
 **strictly less than 16x one query's bytes** from SQLite — the proof
 that cross-query coalescing actually shares reads instead of merely
-interleaving them. Also reports 1/4/16-client scaling, cold and warm.
+interleaving them. Also reports 1/4/16-client scaling, cold and warm,
+and a **warm closed loop**: 1/2/8 ``search_async`` requests kept in
+flight from one thread on a cache that holds the whole collection,
+beside the floor any hand-off pays — ``search()`` submitted to a
+one-thread pool. That pair is what the scheduler's placement rule
+(cached partitions scored on one scan lane, I/O threads asleep) is
+judged by; neighbours must be identical, latency is reported and
+warn-only.
 
 Clients model a serving workload: 16 clients draw from 8 distinct
 query vectors (popular queries repeat), so probe sets overlap both
@@ -17,9 +24,11 @@ trend diff.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from pathlib import Path
 
 from repro import DeviceProfile, IOCostModel, MicroNN, MicroNNConfig
@@ -31,6 +40,8 @@ K = 10
 NPROBE = 16
 CLIENT_COUNTS = (1, 4, 16)
 UNIQUE_QUERIES = 8
+INFLIGHT_COUNTS = (1, 2, 8)
+CLOSED_LOOP_REQUESTS = 400
 
 #: Flash-like storage latency charged to cache-cold reads (same model
 #: as bench_pipeline, so the two benches describe one device).
@@ -129,6 +140,77 @@ def _run_scheduled(db: MicroNN, queries, cold: bool) -> dict:
     }
 
 
+def _closed_loop(submit, queries, inflight: int) -> dict:
+    """``inflight`` requests outstanding from this one thread, refilled
+    as each completes; latency runs from submission to the moment the
+    result is set."""
+    clock = time.perf_counter
+    submitted: list[float] = []
+    done = [0.0] * len(queries)
+    futures: list = []
+    pending: set = set()
+    start = clock()
+    while len(futures) < len(queries) or pending:
+        while len(futures) < len(queries) and len(pending) < inflight:
+            index = len(futures)
+            submitted.append(clock())
+            future = submit(queries[index])
+            future.add_done_callback(
+                lambda _f, index=index: done.__setitem__(index, clock())
+            )
+            futures.append(future)
+            pending.add(future)
+        _, pending = wait(pending, return_when=FIRST_COMPLETED)
+    wall = clock() - start
+    summary = summarize_latencies(
+        [end - begin for begin, end in zip(submitted, done)]
+    )
+    return {
+        "qps": len(queries) / wall,
+        "p50_ms": summary.p50_ms,
+        "p95_ms": summary.p95_ms,
+        "retrieved": [f.result().asset_ids for f in futures],
+    }
+
+
+def _warm_closed_loop(db_path: Path, dataset) -> dict:
+    """Served vs floor at each in-flight count, through a second handle
+    on the same file whose partition cache holds the collection (the
+    cold handle's cache is zero bytes by design)."""
+    config = dataclasses.replace(
+        _config(dataset),
+        device=DeviceProfile(name="bench-concurrent-warm", worker_threads=4),
+    )
+    queries = _client_queries(dataset, CLOSED_LOOP_REQUESTS)
+    rows: dict[str, dict] = {}
+    with MicroNN.open(db_path, config) as db, ThreadPoolExecutor(1) as one:
+        # The reference neighbours; the pass also warms the cache.
+        expected = [
+            db.search(q, k=K, nprobe=NPROBE).asset_ids for q in queries
+        ]
+        for inflight in INFLIGHT_COUNTS:
+            floor = _closed_loop(
+                lambda q: one.submit(db.search, q, k=K, nprobe=NPROBE),
+                queries,
+                inflight,
+            )
+            served = _closed_loop(
+                lambda q: db.search_async(q, k=K, nprobe=NPROBE),
+                queries,
+                inflight,
+            )
+            assert served.pop("retrieved") == expected
+            assert floor.pop("retrieved") == expected
+            rows[str(inflight)] = {
+                "served": served,
+                "floor": floor,
+                "served_over_floor_p50": (
+                    served["p50_ms"] / floor["p50_ms"]
+                ),
+            }
+    return rows
+
+
 def test_concurrent_serving_vs_serial_loop(benchmark, bench_dir):
     from benchmarks.conftest import scaled
 
@@ -198,6 +280,40 @@ def test_concurrent_serving_vs_serial_loop(benchmark, bench_dir):
             ),
         )
 
+        warm_rows = _warm_closed_loop(db_path, dataset)
+        print_table(
+            "Warm closed loop: search_async vs one-thread-pool search()",
+            [
+                "in flight",
+                "served p50",
+                "served QPS",
+                "floor p50",
+                "floor QPS",
+                "served/floor",
+            ],
+            [
+                (
+                    n,
+                    f"{row['served']['p50_ms']:.2f} ms",
+                    f"{row['served']['qps']:.0f}",
+                    f"{row['floor']['p50_ms']:.2f} ms",
+                    f"{row['floor']['qps']:.0f}",
+                    f"{row['served_over_floor_p50']:.2f}x",
+                )
+                for n, row in warm_rows.items()
+            ],
+            note=(
+                "Every probe is a cache hit: a served query should cost "
+                "one hand-off, like the floor (warn-only past 1.3x)."
+            ),
+        )
+        over_floor = warm_rows["2"]["served_over_floor_p50"]
+        if over_floor > 1.3:
+            print(
+                f"::warning::warm served p50 at 2 in flight is "
+                f"{over_floor:.2f}x the one-thread-pool floor (> 1.3x)"
+            )
+
         artifact_dir = _artifact_dir()
         artifact_dir.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -209,6 +325,7 @@ def test_concurrent_serving_vs_serial_loop(benchmark, bench_dir):
             "unique_queries": UNIQUE_QUERIES,
             "single_query_bytes_read": single_query_bytes,
             "qps_speedup_16_cold": qps_speedup,
+            "warm_closed_loop": warm_rows,
             "results": {
                 c: {
                     mode: {

@@ -9,8 +9,9 @@ A walkthrough of the sharded multi-database engine (repro.shard):
   the shard count,
 - **scatter-gather search** — every query fans out to all shards
   (through each shard's serving scheduler once the fan-out is wide
-  enough) and the per-shard top-k streams merge under the unsharded
-  ``(distance, asset_id)`` ordering contract;
+  enough and some shard's reads block) and the per-shard top-k
+  streams merge under the unsharded ``(distance, asset_id)`` ordering
+  contract;
   ``QueryStats.shards_probed`` and ``ShardedSearchResult.shard_stats``
   show the fan-out and the per-shard cost split,
 - **concurrent mixed traffic** — upserts keep routing to single

@@ -646,12 +646,16 @@ class ShardConfig:
         are pluggable: pass a router object to ``ShardedMicroNN`` and
         name it here so reopen can verify the same scheme is in use.
     serve_scatter_threshold:
-        Fan-out width (``shards x concurrent queries``) at or above
-        which the scatter stage runs each shard's scan through its own
-        serving scheduler (:mod:`repro.serve`) instead of a serial
-        per-shard loop. Small fan-outs stay serial: scheduler threads
-        cost more than they overlap when only a couple of partitions
-        are in flight per shard.
+        Floor on the fan-out width (``shards x concurrent queries``)
+        below which the scatter stage is always a serial per-shard
+        loop. At or above it a batch scatters on the gather pool; a
+        single ``search()`` scatters through the shards' serving
+        schedulers (:mod:`repro.serve`) only if, in addition, some
+        shard's cold loads are observed to block
+        (:func:`repro.query.pipeline.loads_block`, the scan
+        pipeline's own rule) or ``shard_timeout_s`` is set — on a
+        warm fleet the hand-offs cost more than there is to overlap,
+        so the serial loop runs. ``explain()`` prints the verdict.
     """
 
     num_shards: int = 1

@@ -136,17 +136,23 @@ def has_cold_partition(engine, partition_ids, use_codes: bool) -> bool:
 PIPELINE_MIN_LOAD_S = 0.001
 
 
+def loads_block(engine) -> bool:
+    """Whether the engine's cold partition loads block long enough for
+    another thread to be worth handing work to. The engine observes
+    what its cold loads cost; no observation yet counts as fast. The
+    scan pipeline (below) and the sharded facade's single-query
+    scatter both engage on this."""
+    return (engine.cold_load_seconds or 0.0) >= PIPELINE_MIN_LOAD_S
+
+
 def pipeline_engages(engine, depth: int, items: int) -> bool:
     """Whether a cache-missing scan of ``items`` partitions pipelines.
 
     THE engagement rule (see the module docstring for why) — the
     single-query and batch executors and ``explain()`` all ask here.
-    The engine observes what its cold loads cost; no observation yet
-    counts as fast. ``depth`` 0 means never.
+    ``depth`` 0 means never.
     """
-    if depth < 1 or items <= 1:
-        return False
-    return (engine.cold_load_seconds or 0.0) >= PIPELINE_MIN_LOAD_S
+    return depth >= 1 and items > 1 and loads_block(engine)
 
 
 #: How long blocked queue operations wait before re-checking the abort

@@ -10,10 +10,12 @@ serving scheduler) behind the same public API:
   (:class:`~repro.shard.router.HashRouter`) picks the owning shard, so
   upserts and deletes touch exactly one shard's writer lock and write
   throughput scales with the shard count.
-- **Reads scatter-gather.** Every search fans out to all shards
-  concurrently — through each shard's own serving scheduler
-  (:mod:`repro.serve`) when the fan-out is wide enough to be worth
-  scheduler threads, through a serial per-shard loop when it is not —
+- **Reads scatter-gather.** Every search fans out to all shards —
+  concurrently through each shard's own serving scheduler
+  (:mod:`repro.serve`) when the fan-out is wide enough *and* some
+  shard's reads are seen to block (or a per-shard timeout needs
+  enforcing), one shard after the other on the caller's thread when
+  there is nothing to overlap —
   and the per-shard top-k streams merge into a global top-k through
   the *same* ``(distance, asset_id)`` ordering contract the unsharded
   executor uses (:mod:`repro.shard.merge`).
@@ -80,6 +82,7 @@ from repro.obs import (
     combine_audit_summaries,
     merge_snapshots,
 )
+from repro.query import pipeline
 from repro.query.filters import Predicate
 from repro.shard.manifest import ShardManifest
 from repro.shard.merge import (
@@ -496,19 +499,54 @@ class ShardedMicroNN:
         return [f.result() for f in futures]
 
     def _use_schedulers(self, num_queries: int) -> bool:
-        """Scatter through shard schedulers, or a serial loop?
-
-        The scheduler path pays thread handoffs per shard; it wins
-        once the fan-out (shards x concurrent queries) is wide enough
-        that overlapping the shards' I/O matters. Both paths return
-        bit-identical results (the PR 3 contract; the one carve-out
-        is ``adaptive_nprobe_margin``, schedule-dependent on every
+        """Is the fan-out (shards x concurrent queries) wide enough
+        for a concurrent scatter — the gather pool for a batch, the
+        shard schedulers for a single query (which asks
+        :meth:`_single_query_scatter` for the rest of the rule)? Both
+        the concurrent and the serial path return bit-identical
+        results (the PR 3 contract; the one carve-out is
+        ``adaptive_nprobe_margin``, schedule-dependent on every
         concurrent path).
         """
         return (
             len(self._shards) > 1
             and len(self._shards) * num_queries
             >= self._shard_config.serve_scatter_threshold
+        )
+
+    def _single_query_scatter(self) -> tuple[bool, str]:
+        """(scheduled?, why) for one query — what :meth:`search` does
+        and :meth:`explain` prints.
+
+        Like the scan pipeline, the scheduled scatter buys overlap of
+        the shards' reads with thread hand-offs, so it engages only
+        when the fan-out is wide enough *and* some shard's cold loads
+        are seen to block (:func:`repro.query.pipeline.loads_block`) —
+        or a per-shard timeout is set, which only the scheduled gather
+        can enforce. Otherwise the shards are searched one after the
+        other on the caller's thread.
+        """
+        cfg = self._shard_config
+        if not self._use_schedulers(1):
+            return False, (
+                f"{len(self._shards)} shard(s) is too narrow a fan-out "
+                f"(serve_scatter_threshold {cfg.serve_scatter_threshold})"
+            )
+        if cfg.shard_timeout_s is not None:
+            return True, "per-shard timeout set"
+        slowest = max(
+            shard.engine.cold_load_seconds or 0.0 for shard in self._shards
+        )
+        scheduled = any(
+            pipeline.loads_block(shard.engine) for shard in self._shards
+        )
+        if not slowest:
+            return scheduled, "no cold partition load observed yet"
+        return scheduled, (
+            f"the slowest shard's cold loads take {slowest * 1e3:.2f} ms "
+            f"each, {'at least' if scheduled else 'under'} the "
+            f"{pipeline.PIPELINE_MIN_LOAD_S * 1e3:g} ms that count as "
+            "blocking"
         )
 
     # ------------------------------------------------------------------
@@ -733,7 +771,7 @@ class ShardedMicroNN:
             )
 
         with self._write_gate.shared():
-            if self._use_schedulers(1):
+            if self._single_query_scatter()[0]:
                 outcomes = self._gather_scheduled(submit, run)
             else:
                 outcomes = [
@@ -1405,6 +1443,7 @@ class ShardedMicroNN:
         self._check_open()
         with self._write_gate.shared():
             num = len(self._shards)
+            scheduled, why = self._single_query_scatter()
             lines = [
                 (
                     f"sharded scatter-gather plan (k={k}, "
@@ -1419,9 +1458,10 @@ class ShardedMicroNN:
                     "(distance, asset_id); serving via "
                     + (
                         "shard schedulers"
-                        if self._use_schedulers(1)
+                        if scheduled
                         else "serial per-shard loop"
                     )
+                    + f" — {why}"
                 ),
             ]
             for shard, name in zip(

@@ -151,3 +151,44 @@ class TestDirectories:
         (current / "x.json").write_text("{}")
         assert check_directories(baseline, current) == 0
         assert "::warning::" in capsys.readouterr().out
+
+
+class TestWarmClosedLoopRows:
+    """``bench_concurrent.py``'s warm closed-loop rows: wall-clock on
+    a shared runner, so a regression warns and never fails."""
+
+    @staticmethod
+    def artifact(p50: float, ratio: float) -> dict[str, float]:
+        return flatten_metrics(
+            {
+                "warm_closed_loop": {
+                    "2": {
+                        "served": {"p50_ms": p50, "p95_ms": 2 * p50},
+                        "floor": {"p50_ms": 1.2, "p95_ms": 1.6},
+                        "served_over_floor_p50": ratio,
+                    }
+                }
+            }
+        )
+
+    def test_latency_and_ratio_growth_warn_only(self):
+        failures, warnings = compare_artifacts(
+            self.artifact(1.3, 1.1), self.artifact(3.9, 3.2)
+        )
+        assert failures == []
+        flagged = {w.split(":")[0] for w in warnings}
+        assert flagged == {
+            "warm_closed_loop.2.served.p50_ms",
+            "warm_closed_loop.2.served.p95_ms",
+            "warm_closed_loop.2.served_over_floor_p50",
+        }
+
+    def test_rows_new_to_the_baseline_are_quiet(self):
+        failures, warnings = compare_artifacts(
+            {"results.16.scheduled_cold.bytes_read": 5.0e6},
+            {
+                "results.16.scheduled_cold.bytes_read": 5.0e6,
+                **self.artifact(1.3, 1.1),
+            },
+        )
+        assert (failures, warnings) == ([], [])

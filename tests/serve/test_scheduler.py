@@ -14,6 +14,8 @@ from repro import (
     MicroNNConfig,
 )
 from repro.core.errors import FilterError, StorageError
+from repro.query.executor import _PARALLEL_SCAN_ELEMENTS
+from repro.serve import scheduler as scheduler_module
 
 
 def make_db(tmp_path, rng, count=300, **config_kwargs):
@@ -289,3 +291,184 @@ class TestDeterministicShutdown:
         db, _ = make_db(tmp_path, rng)
         db.close()
         db.close()
+
+
+def record_load_threads(monkeypatch, engine) -> list[str]:
+    """Wrap ``engine.load_scan_entry`` to log the loading thread's name
+    per call; returns the (live) log."""
+    names: list[str] = []
+    original = engine.load_scan_entry
+
+    def recording(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "load_scan_entry", recording)
+    return names
+
+
+class TestPlacement:
+    """Who pays a thread hand-off: cached partitions are scored where
+    the query launches (the scan lane for small plain scans), only
+    cache misses reach the shared I/O stage."""
+
+    def test_warm_burst_stays_on_the_lane(
+        self, tmp_path, rng, monkeypatch
+    ):
+        db, _ = make_db(tmp_path, rng, max_inflight_queries=8)
+        try:
+            queries = rng.normal(size=(12, 8)).astype(np.float32)
+            serial = [db.search(q, k=5) for q in queries]  # warms too
+            names = record_load_threads(monkeypatch, db.engine)
+            jobs = []
+            monkeypatch.setattr(
+                scheduler_module,
+                "_LoadJob",
+                lambda *args: jobs.append(args) or pytest.fail("load job"),
+            )
+            futures = [db.search_async(q, k=5) for q in queries]
+            for expected, future in zip(serial, futures):
+                result = future.result(timeout=30)
+                assert result.neighbors == expected.neighbors
+                assert result.stats.cache_misses == 0
+                assert result.stats.io_shared_hits == 0
+                assert result.stats.cache_hits == (
+                    result.stats.partitions_scanned
+                )
+            assert jobs == []
+            assert names
+            assert all(n.startswith("micronn-serve-lane") for n in names)
+        finally:
+            db.close()
+
+    def test_half_warm_query_mixes_inline_and_shared(
+        self, tmp_path, rng, monkeypatch
+    ):
+        # Roomy cache, visible seek cost: a partition warmed by hand is
+        # an inline hit, a purged one a blocking shared-stage read.
+        db, _ = make_db(
+            tmp_path,
+            rng,
+            max_inflight_queries=16,
+            device=DeviceProfile(
+                name="half-warm",
+                worker_threads=4,
+                io_model=IOCostModel(seek_latency_s=0.003),
+            ),
+        )
+        try:
+            engine = db.engine
+            query = rng.normal(size=8).astype(np.float32)
+            expected = db.search(query, k=5)
+            probes = [
+                pid
+                for pid, _ in db._executor.select_partitions(query, 4)
+            ]
+
+            def half_warm() -> int:
+                db.purge_caches()
+                for pid in probes[::2]:
+                    engine.load_partition(pid)
+                return sum(pid in engine.cache for pid in probes)
+
+            warm = half_warm()
+            assert 0 < warm < len(probes)
+            names = record_load_threads(monkeypatch, engine)
+            one = db.search_async(query, k=5).result(timeout=30)
+            assert one.neighbors == expected.neighbors
+            assert one.stats.cache_hits == warm
+            assert one.stats.cache_misses == len(probes) - warm
+            assert one.stats.bytes_read > 0
+            lane = [n for n in names if n.startswith("micronn-serve-lane")]
+            io = [n for n in names if n.startswith("micronn-serve-io")]
+            assert (len(lane), len(io)) == (warm, len(probes) - warm)
+
+            # Six identical half-warm queries: the misses still coalesce
+            # and attribution still never exceeds the physical bytes.
+            half_warm()
+            before = db.io()
+            futures = [db.search_async(query, k=5) for _ in range(6)]
+            results = [f.result(timeout=30) for f in futures]
+            burst_bytes = db.io().bytes_read - before.bytes_read
+            assert all(r.neighbors == expected.neighbors for r in results)
+            assert sum(r.stats.io_shared_hits for r in results) > 0
+            assert sum(r.stats.bytes_read for r in results) <= burst_bytes
+        finally:
+            db.close()
+
+    def test_eviction_between_check_and_load(
+        self, tmp_path, rng, monkeypatch
+    ):
+        db, _ = make_db(tmp_path, rng)
+        try:
+            query = rng.normal(size=8).astype(np.float32)
+            expected = db.search(query, k=5)  # warms the probe set
+            cache = db.engine.cache
+            original = cache.get
+            evicted = []
+
+            def evicting_get(pid):
+                if not evicted and pid in cache:
+                    evicted.append(pid)
+                    cache.invalidate(pid)
+                return original(pid)
+
+            monkeypatch.setattr(cache, "get", evicting_get)
+            names = record_load_threads(monkeypatch, db.engine)
+            before = db.io()
+            result = db.search_async(query, k=5).result(timeout=30)
+            assert evicted
+            # Re-read on the launching thread, like the serial scan...
+            assert db.io().cache_misses - before.cache_misses == 1
+            assert all(n.startswith("micronn-serve-lane") for n in names)
+            # ...and the answer is the serial one.
+            assert result.neighbors == expected.neighbors
+            assert result.stats.vectors_scanned == (
+                expected.stats.vectors_scanned
+            )
+        finally:
+            db.close()
+
+    def test_large_scan_launches_on_the_compute_pool(
+        self, tmp_path, rng, monkeypatch
+    ):
+        db, _ = make_db(tmp_path, rng)
+        try:
+            query = rng.normal(size=8).astype(np.float32)
+            # nprobe x target_cluster_size x dim crosses the executor's
+            # fan-out gate (selection clamps the probe set itself).
+            nprobe = _PARALLEL_SCAN_ELEMENTS // (15 * 8) + 1
+            expected = db.search(query, k=5, nprobe=nprobe)
+            names = record_load_threads(monkeypatch, db.engine)
+            result = db.search_async(query, k=5, nprobe=nprobe).result(
+                timeout=30
+            )
+            assert result.neighbors == expected.neighbors
+            assert names
+            assert all(n.startswith("micronn-serve_") for n in names)
+        finally:
+            db.close()
+
+    def test_drain_and_close_with_parked_io_threads(self, tmp_path, rng):
+        db, _ = make_db(tmp_path, rng, max_inflight_queries=4)
+        queries = rng.normal(size=(20, 8)).astype(np.float32)
+        for q in queries:
+            db.search(q, k=3)  # warm: no load job will ever be pushed
+        scheduler = db._get_scheduler()
+
+        def returns(fn) -> bool:
+            thread = threading.Thread(target=fn)
+            thread.start()
+            thread.join(timeout=30)
+            return not thread.is_alive()
+
+        assert returns(scheduler.drain), "drain() wedged while idle"
+        futures = [db.search_async(q, k=3) for q in queries]
+        assert returns(scheduler.drain), "drain() missed a wake-up"
+        assert all(f.done() for f in futures)
+        assert returns(db.close), "close() wedged on parked I/O threads"
+        assert [
+            t.name
+            for t in threading.enumerate()
+            if t.name.startswith("micronn-serve")
+        ] == []

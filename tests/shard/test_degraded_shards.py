@@ -83,14 +83,16 @@ class TestDeadShard:
     def test_partial_results_name_the_dead_shard(
         self, tmp_path, rng, path_kind
     ):
-        # threshold 1 forces the scheduler path for a single query;
+        # A per-shard timeout forces the scheduler path for a single
+        # query (only the scheduled gather can enforce it); threshold
         # 100 forces the serial loop. Both must degrade identically.
-        threshold = 1 if path_kind == "scheduled" else 100
+        forcing = (
+            {"serve_scatter_threshold": 1, "shard_timeout_s": 30.0}
+            if path_kind == "scheduled"
+            else {"serve_scatter_threshold": 100}
+        )
         db, ids = open_sharded(
-            tmp_path,
-            rng,
-            serve_scatter_threshold=threshold,
-            shard_retry_backoff_ms=1.0,
+            tmp_path, rng, shard_retry_backoff_ms=1.0, **forcing
         )
         try:
             victim = 2

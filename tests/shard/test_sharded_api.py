@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro import (
+    DeviceProfile,
+    IOCostModel,
     MicroNNConfig,
     PlanKind,
     ShardConfig,
@@ -44,6 +46,27 @@ def sharded(tmp_path, config, rng):
     db._vecs = vecs  # test hook
     yield db
     db.close()
+
+
+@pytest.fixture
+def wide_fleet(tmp_path, config, rng):
+    """Three built shards whose fan-out clears the scatter threshold,
+    so only the "loads block" half of the rule decides the path."""
+    db = ShardedMicroNN.open(
+        tmp_path / "wide",
+        config,
+        shards=ShardConfig(num_shards=3, serve_scatter_threshold=1),
+    )
+    db._vecs = rng.normal(size=(150, 8)).astype(np.float32)  # test hook
+    db.upsert_batch((f"a{i:04d}", db._vecs[i]) for i in range(150))
+    db.build_index()
+    yield db
+    db.close()
+
+
+def schedulers_built(db) -> int:
+    """How many shards have constructed their serving scheduler."""
+    return sum(shard._scheduler is not None for shard in db.shards)
 
 
 class TestOpenAndLayout:
@@ -237,12 +260,24 @@ class TestSearchFanout:
     def test_serial_and_scheduler_scatter_agree(
         self, tmp_path, config, rng
     ):
+        """The scheduled scatter (forced by a per-shard timeout, which
+        only it can enforce) and the serial loop, bit for bit."""
         vecs = rng.normal(size=(120, 8)).astype(np.float32)
         results = {}
-        for threshold, label in ((1, "sched"), (1000, "serial")):
-            shard_cfg = ShardConfig(
-                num_shards=3, serve_scatter_threshold=threshold
-            )
+        for label, shard_cfg in (
+            (
+                "sched",
+                ShardConfig(
+                    num_shards=3,
+                    serve_scatter_threshold=1,
+                    shard_timeout_s=30.0,
+                ),
+            ),
+            (
+                "serial",
+                ShardConfig(num_shards=3, serve_scatter_threshold=1000),
+            ),
+        ):
             with ShardedMicroNN.open(
                 tmp_path / label, config, shards=shard_cfg
             ) as db:
@@ -250,7 +285,8 @@ class TestSearchFanout:
                     (f"a{i:04d}", vecs[i]) for i in range(120)
                 )
                 db.build_index()
-                assert db._use_schedulers(1) == (threshold == 1)
+                scheduled, why = db._single_query_scatter()
+                assert scheduled == (label == "sched"), why
                 results[label] = [
                     (
                         db.search(vecs[i], k=5).asset_ids,
@@ -258,7 +294,66 @@ class TestSearchFanout:
                     )
                     for i in range(0, 120, 13)
                 ]
+                assert schedulers_built(db) == (
+                    3 if label == "sched" else 0
+                )
         assert results["sched"] == results["serial"]
+
+    def test_warm_fleet_searches_without_schedulers(self, wide_fleet):
+        """Wide enough fan-out (3 shards >= threshold 1) but no shard's
+        loads block: the serial loop answers, no scheduler is built."""
+        for i in range(0, 150, 17):
+            result = wide_fleet.search(wide_fleet._vecs[i], k=5)
+            assert result[0].asset_id == f"a{i:04d}"
+        assert schedulers_built(wide_fleet) == 0
+        explained = wide_fleet.explain()
+        assert "serving via serial per-shard loop — the slowest" in explained
+        assert "under the 1 ms that count as blocking" in explained
+
+    def test_scatter_engages_once_loads_block(self, tmp_path, config, rng):
+        """Under a 3 ms seek with purged caches the first search has
+        no observation and runs serially; it observes blocking loads,
+        so later searches go through the shard schedulers — same ids,
+        same distances, and explain() names the path each time."""
+        slow = dataclasses.replace(
+            config,
+            device=DeviceProfile(
+                name="slow-flash",
+                io_model=IOCostModel(seek_latency_s=0.003),
+            ),
+        )
+        vecs = rng.normal(size=(120, 8)).astype(np.float32)
+        shard_cfg = ShardConfig(num_shards=3, serve_scatter_threshold=1)
+        with ShardedMicroNN.open(
+            tmp_path / "fleet", slow, shards=shard_cfg
+        ) as db:
+            db.upsert_batch((f"a{i:04d}", vecs[i]) for i in range(120))
+            db.build_index()
+        with ShardedMicroNN.open(
+            tmp_path / "fleet", slow, shards=shard_cfg
+        ) as db:
+            db.purge_caches()
+            assert (
+                "serial per-shard loop — no cold partition load observed"
+                in db.explain()
+            )
+            first = db.search(vecs[7], k=5)
+            assert schedulers_built(db) == 0
+            assert "shard schedulers — the slowest shard" in db.explain()
+            for _ in range(2):
+                db.purge_caches()
+                later = db.search(vecs[7], k=5)
+                assert later.asset_ids == first.asset_ids
+                assert later.distances == first.distances
+            assert schedulers_built(db) == 3
+
+    def test_forced_threshold_scatters_from_the_first_search(
+        self, wide_fleet, force_pipeline
+    ):
+        assert "serving via shard schedulers" in wide_fleet.explain()
+        result = wide_fleet.search(wide_fleet._vecs[5], k=3)
+        assert result[0].asset_id == "a0005"
+        assert schedulers_built(wide_fleet) == 3
 
     def test_exact_search(self, sharded):
         result = sharded.search(sharded._vecs[9], k=3, exact=True)
