@@ -653,9 +653,11 @@ class ShardConfig:
         schedulers (:mod:`repro.serve`) only if, in addition, some
         shard's cold loads are observed to block
         (:func:`repro.query.pipeline.loads_block`, the scan
-        pipeline's own rule) or ``shard_timeout_s`` is set — on a
-        warm fleet the hand-offs cost more than there is to overlap,
-        so the serial loop runs. ``explain()`` prints the verdict.
+        pipeline's own rule) and the previous ``search()`` missed the
+        cache somewhere (a fresh or purged fleet counts as missing),
+        or ``shard_timeout_s`` is set — on a warm fleet, whatever its
+        storage, the hand-offs cost more than there is to overlap, so
+        the serial loop runs. ``explain()`` prints the verdict.
     """
 
     num_shards: int = 1

@@ -13,6 +13,9 @@ like that pipeline, pays a thread hand-off only for work that blocks:
   launching thread, in centroid-distance order, by the same
   ``_ScanTask.score_entry`` the shared stage calls; a fully warm query
   finalizes there too — one hand-off per query, not two per partition.
+  (A quantized query's finalize reranks through blocking point reads,
+  so it alone is handed to the compute pool: on a 10 ms seek the lane
+  would serve 87 QPS, 1/seek, where the pool serves 330+.)
 - **Shared** — cache-missing partitions are registered with the I/O
   stage *before* the inline scoring starts, so their reads overlap it,
   and keep everything below: coalescing, prioritization, the
@@ -461,6 +464,10 @@ class QueryScheduler:
             # two of them on two threads only trade the GIL — so those
             # run back to back on the one scan lane; call plans, tasks
             # with a setup step and larger scans keep the compute pool.
+            # Measured on 2 vCPUs only (module docstring), and no bench
+            # row sits on the large side of the gate: NumPy kernels
+            # release the GIL, so re-measure the gate and the lane's
+            # width on a wider machine before trusting either there.
             config = self._config
             small_scan = (
                 isinstance(task, _ScanTask)
@@ -516,7 +523,13 @@ class QueryScheduler:
         if cold:
             self._register_loads(task, cold, use_codes)
         if warm and self._score_cached(task, warm, use_codes):
-            self._finalize_task(task)
+            if use_codes:
+                # A quantized finalize reranks through blocking point
+                # reads: on the one lane they would run one query at
+                # a time, so that step is handed to the pool.
+                self._compute_pool.submit(self._finalize_task, task)
+            else:
+                self._finalize_task(task)
 
     def _register_loads(
         self, task: _ScanTask, probes, use_codes: bool

@@ -13,9 +13,9 @@ serving scheduler) behind the same public API:
 - **Reads scatter-gather.** Every search fans out to all shards —
   concurrently through each shard's own serving scheduler
   (:mod:`repro.serve`) when the fan-out is wide enough *and* some
-  shard's reads are seen to block (or a per-shard timeout needs
-  enforcing), one shard after the other on the caller's thread when
-  there is nothing to overlap —
+  shard's reads are seen to block and to miss the cache (or a
+  per-shard timeout needs enforcing), one shard after the other on
+  the caller's thread when there is nothing to overlap —
   and the per-shard top-k streams merge into a global top-k through
   the *same* ``(distance, asset_id)`` ordering contract the unsharded
   executor uses (:mod:`repro.shard.merge`).
@@ -331,6 +331,10 @@ class ShardedMicroNN:
         # engines serialize their own writers); rebalance is
         # exclusive, so everyone else simply waits out the move.
         self._write_gate = _WriteGate()
+        # Whether a search() can expect cache-missing probes: true of
+        # an opened or purged fleet, afterwards what the last search()
+        # saw. Half of the single-query scatter rule.
+        self._last_search_missed = True
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -520,11 +524,14 @@ class ShardedMicroNN:
 
         Like the scan pipeline, the scheduled scatter buys overlap of
         the shards' reads with thread hand-offs, so it engages only
-        when the fan-out is wide enough *and* some shard's cold loads
-        are seen to block (:func:`repro.query.pipeline.loads_block`) —
-        or a per-shard timeout is set, which only the scheduled gather
-        can enforce. Otherwise the shards are searched one after the
-        other on the caller's thread.
+        when the fan-out is wide enough *and* a read can block now:
+        some shard's cold loads are seen to block
+        (:func:`repro.query.pipeline.loads_block`) and the last
+        ``search()`` missed the cache somewhere (the estimate alone
+        never decays: a fleet warmed on slow storage would scatter
+        forever) — or a per-shard timeout is set, which only the
+        scheduled gather can enforce. Otherwise the shards are
+        searched one after the other on the caller's thread.
         """
         cfg = self._shard_config
         if not self._use_schedulers(1):
@@ -537,14 +544,19 @@ class ShardedMicroNN:
         slowest = max(
             shard.engine.cold_load_seconds or 0.0 for shard in self._shards
         )
-        scheduled = any(
+        blocking = any(
             pipeline.loads_block(shard.engine) for shard in self._shards
         )
+        if blocking and not self._last_search_missed:
+            return False, (
+                "the last search found every probe cached, so no load "
+                "is expected to block"
+            )
         if not slowest:
-            return scheduled, "no cold partition load observed yet"
-        return scheduled, (
+            return blocking, "no cold partition load observed yet"
+        return blocking, (
             f"the slowest shard's cold loads take {slowest * 1e3:.2f} ms "
-            f"each, {'at least' if scheduled else 'under'} the "
+            f"each, {'at least' if blocking else 'under'} the "
             f"{pipeline.PIPELINE_MIN_LOAD_S * 1e3:g} ms that count as "
             "blocking"
         )
@@ -778,7 +790,9 @@ class ShardedMicroNN:
                     self._run_shard_guarded(run, shard)
                     for shard in self._shards
                 ]
-        return self._merge_outcomes(outcomes, k, start)
+        result = self._merge_outcomes(outcomes, k, start)
+        self._last_search_missed = result.stats.cache_misses > 0
+        return result
 
     def _run_shard_guarded(
         self,
@@ -1280,6 +1294,7 @@ class ShardedMicroNN:
         with self._write_gate.shared():
             for shard in self._shards:
                 shard.purge_caches()
+        self._last_search_missed = True
 
     def warm_cache(
         self, queries: np.ndarray, k: int = 10, nprobe: int | None = None

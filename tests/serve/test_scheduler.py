@@ -341,6 +341,62 @@ class TestPlacement:
         finally:
             db.close()
 
+    def test_warm_quantized_rerank_reads_stay_off_the_lane(
+        self, tmp_path, rng, monkeypatch
+    ):
+        # A warm SQ8 query scores its codes on the lane, but its rerank
+        # is a blocking point read: on the one lane thread those would
+        # run one query at a time (1/seek QPS on slow storage).
+        db, _ = make_db(
+            tmp_path,
+            rng,
+            quantization="sq8",
+            max_inflight_queries=8,
+            device=DeviceProfile(
+                name="slow-rerank",
+                worker_threads=4,
+                io_model=IOCostModel(seek_latency_s=0.005),
+            ),
+        )
+        try:
+            engine = db.engine
+            queries = rng.normal(size=(8, 8)).astype(np.float32)
+            serial = [db.search(q, k=5) for q in queries]  # warms too
+            loads = record_load_threads(monkeypatch, engine)
+            fetch = engine.fetch_vectors_by_asset_ids
+            lock = threading.Lock()
+            fetchers: list[str] = []
+            running = peak = 0
+
+            def recording_fetch(asset_ids):
+                nonlocal running, peak
+                with lock:
+                    fetchers.append(threading.current_thread().name)
+                    running += 1
+                    peak = max(peak, running)
+                try:
+                    return fetch(asset_ids)
+                finally:
+                    with lock:
+                        running -= 1
+
+            monkeypatch.setattr(
+                engine, "fetch_vectors_by_asset_ids", recording_fetch
+            )
+            futures = [db.search_async(q, k=5) for q in queries]
+            for expected, future in zip(serial, futures):
+                result = future.result(timeout=30)
+                assert result.neighbors == expected.neighbors
+                assert result.stats.scan_mode == "sq8"
+                assert result.stats.candidates_reranked > 0
+            assert loads
+            assert all(n.startswith("micronn-serve-lane") for n in loads)
+            assert len(fetchers) == len(queries)
+            assert all(n.startswith("micronn-serve_") for n in fetchers)
+            assert peak > 1, "rerank reads ran one query at a time"
+        finally:
+            db.close()
+
     def test_half_warm_query_mixes_inline_and_shared(
         self, tmp_path, rng, monkeypatch
     ):

@@ -310,7 +310,9 @@ class TestSearchFanout:
         assert "serving via serial per-shard loop — the slowest" in explained
         assert "under the 1 ms that count as blocking" in explained
 
-    def test_scatter_engages_once_loads_block(self, tmp_path, config, rng):
+    def test_scatter_engages_while_loads_can_block(
+        self, tmp_path, config, rng, monkeypatch
+    ):
         """Under a 3 ms seek with purged caches the first search has
         no observation and runs serially; it observes blocking loads,
         so later searches go through the shard schedulers — same ids,
@@ -346,6 +348,30 @@ class TestSearchFanout:
                 assert later.asset_ids == first.asset_ids
                 assert later.distances == first.distances
             assert schedulers_built(db) == 3
+
+            # The cold-load estimate never decays, the verdict must:
+            # a search that found every probe cached sends the fleet
+            # back to the serial loop until something is cold again.
+            scattered = []
+            gather = db._gather_scheduled
+            monkeypatch.setattr(
+                db,
+                "_gather_scheduled",
+                lambda *args: scattered.append(1) or gather(*args),
+            )
+            warmed = db.search(vecs[7], k=5)  # last one missed: scatters
+            assert (len(scattered), warmed.stats.cache_misses) == (1, 0)
+            explained = db.explain()
+            assert "serial per-shard loop — the last search" in explained
+            for _ in range(3):
+                again = db.search(vecs[7], k=5)
+                assert again.asset_ids == first.asset_ids
+                assert again.distances == first.distances
+            assert len(scattered) == 1
+            db.purge_caches()
+            assert "shard schedulers — the slowest shard" in db.explain()
+            db.search(vecs[7], k=5)
+            assert len(scattered) == 2
 
     def test_forced_threshold_scatters_from_the_first_search(
         self, wide_fleet, force_pipeline
