@@ -554,10 +554,9 @@ class MicroNN:
 
         def setup():
             # Runs on the scheduler's compute pool at admission: the
-            # optimizer's selectivity estimate and (for post-filtering)
-            # the predicate's attribute-table scan are real storage
-            # work that must neither block the submitting thread nor
-            # escape admission control.
+            # optimizer's selectivity estimate is real storage work
+            # that must neither block the submitting thread nor escape
+            # admission control.
             decision: PlanDecision | None = None
             chosen = plan
             if chosen is None:
@@ -583,7 +582,7 @@ class MicroNN:
                 )
             return (
                 "scan",
-                self._executor.qualifying_ids_for(filters),
+                self._executor.row_filter_for(filters),
                 extra,
             )
 
@@ -742,12 +741,20 @@ class MicroNN:
         """Human-readable account of the optimizer's plan choice.
 
         The EXPLAIN analog for hybrid queries: shows both candidate
-        plans, the selectivity estimates, the F̂_IVF threshold, and
-        which side won — without executing anything.
+        plans, the selectivity estimates, the F̂_IVF threshold, how the
+        predicate will be evaluated (``filter: columnar(bucket)`` over
+        cached attribute columns, or ``filter: sql (Match)`` through
+        the qualifying-set fallback) and which side won — without
+        executing anything.
         """
         nprobe = nprobe or self._config.default_nprobe
         decision = self.plan_for(filters, nprobe)
         total = len(self)
+        # How a scan masks partitions by this predicate; the pre-filter
+        # plan evaluates it through SQL whatever its shape.
+        in_scan = self._executor.row_filter_for(filters).describe()
+        if decision.kind is PlanKind.PRE_FILTER:
+            in_scan = f"sql (pre-filter plan; post-filter: {in_scan})"
         lines = [
             f"hybrid query plan (k={k}, nprobe={nprobe}, |R|={total})",
             f"  partition scan:   {self.scan_mode_description(k)}",
@@ -763,6 +770,7 @@ class MicroNN:
                 "  IVF probe:        selectivity threshold F_IVF = "
                 f"{decision.ivf_selectivity:.6f}"
             ),
+            f"  filter:           {in_scan}",
         ]
         quarantined = self._engine.quarantined_partitions
         if quarantined:

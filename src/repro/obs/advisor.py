@@ -202,6 +202,7 @@ def build_recommendations(
             and sketch is not None
             and sketch.skip_fraction > 0.05
         ):
+            probed = sketch.partitions_skipped + sketch.partitions_scanned
             recs.append(
                 Recommendation(
                     knob="adaptive_nprobe_margin",
@@ -212,7 +213,7 @@ def build_recommendations(
                     evidence=(
                         "adaptive early termination skipped "
                         f"{sketch.partitions_skipped} of "
-                        f"{sketch.partitions_skipped + sketch.partitions_scanned} "
+                        f"{probed} "
                         f"probe-set partitions "
                         f"({sketch.skip_fraction:.0%}) while "
                         f"{evidence}"

@@ -267,7 +267,14 @@ class MetricsSnapshot:
 class _Instrument:
     """Base: a named family of labelled samples behind one lock."""
 
-    __slots__ = ("name", "help", "label_names", "_enabled", "_lock", "_samples")
+    __slots__ = (
+        "name",
+        "help",
+        "label_names",
+        "_enabled",
+        "_lock",
+        "_samples",
+    )
 
     kind = ""
 

@@ -32,11 +32,15 @@ I/O.
 
 Hybrid plans reuse the same machinery:
 
-- **post-filtering** evaluates the predicate once against the
-  attributes table, then masks each scanned partition by the qualifying
-  asset-id set *before* computing distances — the paper's optimization
-  of applying the join and filter during partition retrieval, so
-  non-qualifying vectors never enter the top-K computation;
+- **post-filtering** masks each scanned partition by the predicate
+  *before* computing distances — the paper's optimization of applying
+  the join and filter during partition retrieval, so non-qualifying
+  vectors never enter the top-K computation. The mask is one NumPy
+  evaluation of the predicate over the partition's cached attribute
+  columns (:class:`RowFilter`), so the filter costs what the scan
+  scans, not what the collection holds; predicates NumPy cannot
+  evaluate (``MATCH``, ``TEXT`` ordering) are evaluated once through
+  SQL and masked by the qualifying id set, through the same interface;
 - **pre-filtering** fetches exactly the qualifying vectors and
   brute-forces the top-K over them (100% recall by construction).
 """
@@ -65,7 +69,13 @@ from repro.query.distance import (
     distances_to_one,
     make_code_scorer,
 )
-from repro.query.filters import CompileContext, Predicate, default_tokenizer
+from repro.query.filters import (
+    ColumnarUnsupported,
+    CompileContext,
+    Predicate,
+    columnar_fallback_reason,
+    default_tokenizer,
+)
 from repro.query.heap import (
     TopKHeap,
     merge_topk,
@@ -198,8 +208,67 @@ class _QuantizedScanState:
         self.filtered = 0
 
 
+class RowFilter:
+    """A post-filter predicate as the scan applies it: one partition
+    entry in, the boolean mask of its qualifying rows out.
+
+    The mask is the predicate evaluated with NumPy over the entry's
+    attribute columns, which the engine keeps on the cached entry: a
+    warm filtered query issues no SQL. Where that cannot give SQLite's
+    answer — for the whole predicate (``Match``, ``TEXT`` ordering:
+    :attr:`fallback_reason`) or for one entry (a stored column of
+    mixed storage classes) — the mask is membership in the
+    collection-wide qualifying id set, evaluated through SQL once per
+    query. The two agree wherever both exist, so mixing them per entry
+    is sound. Shared by the threads of one scan.
+    """
+
+    def __init__(
+        self, executor: "QueryExecutor", predicate: Predicate
+    ) -> None:
+        self._executor = executor
+        self._predicate = predicate
+        self._names = tuple(sorted(predicate.attributes_referenced()))
+        #: Why every mask goes through SQL, or None when columnar.
+        self.fallback_reason = columnar_fallback_reason(
+            predicate, executor.compile_context
+        )
+        self._lock = threading.Lock()
+        self._qualifying: frozenset[str] | None = None
+
+    def describe(self) -> str:
+        """How the filter is evaluated, for ``explain()`` and traces."""
+        if self.fallback_reason is None:
+            return f"columnar({', '.join(self._names)})"
+        return f"sql ({self.fallback_reason})"
+
+    def qualifying_ids(self) -> frozenset[str]:
+        """The SQL fallback's mask source, evaluated on first use."""
+        with self._lock:
+            if self._qualifying is None:
+                self._qualifying = frozenset(
+                    self._executor._qualifying_ids(self._predicate)
+                )
+            return self._qualifying
+
+    def mask(self, entry: CachedPartition) -> np.ndarray:
+        if self.fallback_reason is None:
+            columns = self._executor._engine.attribute_columns(
+                entry, self._names
+            )
+            try:
+                return self._predicate.mask(columns)
+            except ColumnarUnsupported:
+                pass
+        return np.fromiter(
+            map(self.qualifying_ids().__contains__, entry.asset_ids),
+            dtype=bool,
+            count=len(entry),
+        )
+
+
 def _masked(
-    entry: CachedPartition, qualifying_ids: frozenset[str] | None
+    entry: CachedPartition, row_filter: RowFilter | None
 ) -> tuple[np.ndarray | None, np.ndarray, int]:
     """Apply the post-filter mask; returns (rows, matrix, rows_dropped).
 
@@ -207,15 +276,9 @@ def _masked(
     rows returned, ``None`` meaning every row in order — the matrix is
     copied only when the filter actually dropped rows.
     """
-    if qualifying_ids is None:
+    if row_filter is None:
         return None, entry.matrix, 0
-    rows = np.flatnonzero(
-        np.fromiter(
-            map(qualifying_ids.__contains__, entry.asset_ids),
-            dtype=bool,
-            count=len(entry),
-        )
-    )
+    rows = np.flatnonzero(row_filter.mask(entry))
     dropped = len(entry) - len(rows)
     if not dropped:
         return None, entry.matrix, 0
@@ -342,9 +405,10 @@ class QueryExecutor:
         """Validate + canonicalize a query vector (serving layer)."""
         return self._as_query(query)
 
-    def qualifying_ids_for(self, predicate: Predicate) -> frozenset[str]:
-        """Post-filter qualifying set, as the serial path computes it."""
-        return frozenset(self._qualifying_ids(predicate))
+    def row_filter_for(self, predicate: Predicate) -> RowFilter:
+        """``predicate`` compiled for a post-filtered scan (raises for
+        an attribute the schema does not declare)."""
+        return RowFilter(self, predicate)
 
     def scan_quantizer(self) -> Quantizer | None:
         """The quantizer driving scans, or None (see _scan_quantizer)."""
@@ -453,7 +517,7 @@ class QueryExecutor:
         query: np.ndarray,
         k: int,
         nprobe: int,
-        qualifying_ids: frozenset[str] | None = None,
+        row_filter: RowFilter | None = None,
         plan: PlanKind = PlanKind.ANN,
         tracer: Tracer | None = None,
     ) -> SearchResult:
@@ -467,6 +531,11 @@ class QueryExecutor:
             tracer, "search_ann", plan=plan.value, k=k, nprobe=nprobe
         ):
             with self._engine.scan_session():
+                if row_filter is not None and row_filter.fallback_reason:
+                    # The SQL fallback's one statement, inside the
+                    # query's clock, I/O snapshot and root span.
+                    with _span(tracer, "evaluate_filter"):
+                        row_filter.qualifying_ids()
                 with _span(tracer, "select_partitions") as select_span:
                     partitions = self.select_partitions(query, nprobe)
                     quantizer = self._scan_quantizer()
@@ -475,13 +544,15 @@ class QueryExecutor:
                 with _span(tracer, "scan_partitions") as scan_span:
                     if quantizer is not None:
                         heaps, outcome = self._scan_partitions_quantized(
-                            partitions, query, k, qualifying_ids, quantizer
+                            partitions, query, k, row_filter, quantizer
                         )
                     else:
                         heaps, outcome = self._scan_partitions(
-                            partitions, query, k, qualifying_ids
+                            partitions, query, k, row_filter
                         )
                     if scan_span is not None:
+                        if row_filter is not None:
+                            scan_span.set(filter=row_filter.describe())
                         scan_span.set(
                             scan_mode=outcome.scan_mode,
                             pipelined=outcome.pipelined,
@@ -631,13 +702,11 @@ class QueryExecutor:
         tracer: Tracer | None = None,
     ) -> SearchResult:
         """Post-filtering plan: ANN scan masked by the predicate."""
-        with _span(tracer, "evaluate_filter"):
-            qualifying = frozenset(self._qualifying_ids(predicate))
         return self.search_ann(
             query,
             k,
             nprobe,
-            qualifying_ids=qualifying,
+            row_filter=self.row_filter_for(predicate),
             plan=PlanKind.POST_FILTER,
             tracer=tracer,
         )
@@ -684,18 +753,18 @@ class QueryExecutor:
                 index, row_of = self._centroid_index_for(
                     partition_ids, centroids
                 )
-                pids = index.select(
-                    query,
-                    nprobe,
-                    oversample=self._config.centroid_index_oversample,
+                pids = np.asarray(
+                    index.select(
+                        query,
+                        nprobe,
+                        oversample=self._config.centroid_index_oversample,
+                    ),
+                    dtype=np.int64,
                 )
                 dist = distances_to_one(
                     query,
-                    centroids[[row_of[pid] for pid in pids]],
+                    centroids[[row_of[pid] for pid in pids.tolist()]],
                     self._config.metric,
-                )
-                order = sorted(
-                    (float(d), pid) for d, pid in zip(dist, pids)
                 )
             else:
                 dist = distances_to_one(
@@ -703,10 +772,12 @@ class QueryExecutor:
                 )
                 take = min(nprobe, len(partition_ids))
                 idx = np.argpartition(dist, take - 1)[:take] if take else []
-                order = sorted(
-                    ((float(dist[i]), int(partition_ids[i])) for i in idx)
-                )
-            selected = [(pid, d) for d, pid in order]
+                pids, dist = partition_ids[idx], dist[idx]
+            # (distance, pid) order in one sort, no per-row Python.
+            order = np.lexsort((pids, dist))
+            selected = list(
+                zip(pids[order].tolist(), dist[order].tolist())
+            )
         selected.append((DELTA_PARTITION_ID, float("-inf")))
         return selected
 
@@ -784,7 +855,7 @@ class QueryExecutor:
         partitions: list[tuple[int, float]],
         query: np.ndarray,
         k: int,
-        qualifying_ids: frozenset[str] | None,
+        row_filter: RowFilter | None,
     ) -> tuple[list[TopKHeap], _ScanOutcome]:
         """Partition scans with per-worker bounded heaps (Algorithm 2).
 
@@ -809,11 +880,11 @@ class QueryExecutor:
         split = self._pipeline_split(partitions) if cold else None
         if split is not None:
             return self._scan_partitions_pipelined(
-                partitions, query, k, qualifying_ids, split
+                partitions, query, k, row_filter, split
             )
         if cold or self._config.adaptive_nprobe_margin is not None:
             return self._scan_ordered(
-                partitions, query, k, qualifying_ids, None, cold
+                partitions, query, k, row_filter, None, cold
             )
         # The io window covers loads only; masking is CPU work and is
         # charged to the compute window, matching how the pipelined
@@ -831,7 +902,7 @@ class QueryExecutor:
         scanned = filtered = 0
         for entry in entries:
             scanned += len(entry)
-            rows, matrix, dropped = _masked(entry, qualifying_ids)
+            rows, matrix, dropped = _masked(entry, row_filter)
             filtered += dropped
             if len(matrix):
                 work.append((entry.asset_ids, rows, matrix))
@@ -853,7 +924,7 @@ class QueryExecutor:
         partitions: list[tuple[int, float]],
         query: np.ndarray,
         k: int,
-        qualifying_ids: frozenset[str] | None,
+        row_filter: RowFilter | None,
         split: tuple[int, int],
     ) -> tuple[list[TopKHeap], _ScanOutcome]:
         """Float32 scan through the I/O–compute pipeline.
@@ -888,7 +959,7 @@ class QueryExecutor:
         def score(state: _ScanState, entry: CachedPartition) -> None:
             try:
                 state.scanned += len(entry)
-                rows, matrix, dropped = _masked(entry, qualifying_ids)
+                rows, matrix, dropped = _masked(entry, row_filter)
                 state.filtered += dropped
                 if not len(matrix):
                     return
@@ -968,7 +1039,7 @@ class QueryExecutor:
         partitions: list[tuple[int, float]],
         query: np.ndarray,
         k: int,
-        qualifying_ids: frozenset[str] | None,
+        row_filter: RowFilter | None,
         quantizer: Quantizer,
     ) -> tuple[list[TopKHeap], _ScanOutcome]:
         """Quantized scan: code partitions + exact rerank (hot path).
@@ -993,11 +1064,11 @@ class QueryExecutor:
         split = self._pipeline_split(partitions) if cold else None
         if split is not None:
             return self._scan_quantized_pipelined(
-                partitions, query, k, qualifying_ids, quantizer, split
+                partitions, query, k, row_filter, quantizer, split
             )
         if cold or self._config.adaptive_nprobe_margin is not None:
             return self._scan_ordered(
-                partitions, query, k, qualifying_ids, quantizer, cold
+                partitions, query, k, row_filter, quantizer, cold
             )
         scorer = make_code_scorer(query, quantizer, self._config.metric)
         # Load window, then masking + kernels in the compute window —
@@ -1019,7 +1090,7 @@ class QueryExecutor:
         scanned = filtered = 0
         for entry, is_codes in loaded:
             scanned += len(entry)
-            rows, matrix, dropped = _masked(entry, qualifying_ids)
+            rows, matrix, dropped = _masked(entry, row_filter)
             filtered += dropped
             if len(matrix):
                 bucket = approx_work if is_codes else exact_work
@@ -1051,7 +1122,7 @@ class QueryExecutor:
         partitions: list[tuple[int, float]],
         query: np.ndarray,
         k: int,
-        qualifying_ids: frozenset[str] | None,
+        row_filter: RowFilter | None,
         quantizer: Quantizer | None,
         cold: bool,
     ) -> tuple[list[TopKHeap], _ScanOutcome]:
@@ -1127,7 +1198,7 @@ class QueryExecutor:
                 if not len(entry):
                     continue
                 scanned += len(entry)
-                rows, matrix, dropped = _masked(entry, qualifying_ids)
+                rows, matrix, dropped = _masked(entry, row_filter)
                 filtered += dropped
                 if len(matrix):
                     computed += len(matrix)
@@ -1179,7 +1250,7 @@ class QueryExecutor:
         partitions: list[tuple[int, float]],
         query: np.ndarray,
         k: int,
-        qualifying_ids: frozenset[str] | None,
+        row_filter: RowFilter | None,
         quantizer: Quantizer,
         split: tuple[int, int],
     ) -> tuple[list[TopKHeap], _ScanOutcome]:
@@ -1224,7 +1295,7 @@ class QueryExecutor:
             entry, is_codes = payload
             try:
                 state.scanned += len(entry)
-                rows, matrix, dropped = _masked(entry, qualifying_ids)
+                rows, matrix, dropped = _masked(entry, row_filter)
                 state.filtered += dropped
                 if not len(matrix):
                     return

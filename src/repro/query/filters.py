@@ -11,11 +11,18 @@ tree over their declared attributes:
 
 Every node compiles to a parameterized SQL fragment over the
 ``attributes`` table (values only ever travel as bound parameters, never
-spliced into SQL) **and** can be evaluated directly against a Python
-attribute mapping. The dual implementation is deliberate: property
-tests generate random predicates and random rows and check that SQLite
-and the Python evaluator agree, which pins down the semantics of the
-filter language.
+spliced into SQL), can be evaluated directly against a Python attribute
+mapping (:meth:`Predicate.evaluate`), **and** — every node but
+:class:`Match` — can be evaluated with NumPy over a partition's
+:class:`AttributeColumn` arrays (:meth:`Predicate.mask`), which is how
+the post-filter plan masks a partition while scanning it. The three
+implementations are deliberate: property tests generate random
+predicates and random rows and check that SQLite, the per-row evaluator
+and the columnar one agree, which pins down the semantics of the filter
+language. Where NumPy could not reproduce SQLite exactly (``TEXT``
+ordering, a column of mixed storage classes, integers beyond 2^53 met
+by floats) the columnar evaluator raises :class:`ColumnarUnsupported`
+instead of approximating, and the caller evaluates through SQL.
 
 Convenience constructors (``Eq``, ``Lt``, ...) keep call sites readable:
 
@@ -26,20 +33,33 @@ Convenience constructors (``Eq``, ``Lt``, ...) keep call sites readable:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
-from repro.core.errors import FilterError, UnknownAttributeError
+import numpy as np
 
-_SQL_OPS = {
-    "=": "=",
-    "!=": "!=",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
+from repro.core.errors import FilterError, UnknownAttributeError
+from repro.storage.cache import FLOAT_EXACT_INT, AttributeColumn
+
+#: Comparison operators: the SQL spelling, and the function both the
+#: per-row and the columnar evaluator apply.
+_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
+
+_INT64_MAX = 2**63 - 1
+
+#: What :meth:`Predicate.mask` evaluates over: a partition's attribute
+#: columns by name, None for one that could not be typed.
+Columns = Mapping[str, AttributeColumn | None]
 
 #: Default tokenizer: lower-cased alphanumeric runs. Shared with the
 #: FTS substrate so MATCH semantics and df statistics line up.
@@ -73,6 +93,48 @@ class CompileContext:
             )
 
 
+class ColumnarUnsupported(Exception):
+    """NumPy cannot evaluate this predicate over these columns exactly
+    as SQLite would; the message names the node or column at fault and
+    the caller evaluates through SQL instead."""
+
+
+def _literal(
+    column: AttributeColumn, value: object, ordered: bool = False
+) -> object:
+    """``value`` as a literal NumPy compares against ``column.values``
+    with SQLite's result, else :class:`ColumnarUnsupported`.
+
+    Same-class comparisons are exact in both. An integer meeting a
+    float is compared in float64, which is exact only while the
+    integer side stays within 2^53. Bools compare as 0/1, as SQLite
+    stores them. NaN binds as NULL in SQLite and is left to it, like a
+    literal of the wrong class for the column.
+    """
+    values = column.values
+    if values.dtype == object:
+        if ordered:
+            raise ColumnarUnsupported("TEXT ordering")
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, bool):
+        return int(value)
+    elif type(value) is int:
+        exact = values.dtype == np.int64
+        if abs(value) <= (_INT64_MAX if exact else FLOAT_EXACT_INT):
+            return value
+    elif isinstance(value, float) and value == value:
+        # NumPy compares an int64 column to a float as float64.
+        if values.dtype == np.float64 or not len(values) or (
+            -FLOAT_EXACT_INT <= values.min()
+            and values.max() <= FLOAT_EXACT_INT
+        ):
+            return value
+    raise ColumnarUnsupported(
+        f"literal {value!r} against {values.dtype} values"
+    )
+
+
 class Predicate:
     """Base class for all filter nodes."""
 
@@ -84,6 +146,20 @@ class Predicate:
         self, row: Mapping[str, object], ctx: CompileContext
     ) -> bool:
         """Evaluate directly against a row's attribute values."""
+        raise NotImplementedError
+
+    def mask(self, columns: Columns) -> np.ndarray:
+        """Evaluate over aligned attribute columns: the boolean mask of
+        the rows this predicate is TRUE for.
+
+        Rows it is FALSE or UNKNOWN (NULL) for are both cleared, which
+        is all a ``WHERE`` needs. :class:`Not` is the one node that
+        could turn UNKNOWN into TRUE, and it carries the same
+        ``IS NOT NULL`` guards as its SQL: under them its child is
+        never UNKNOWN, so one mask per node is three-valued logic
+        enough. Raises :class:`ColumnarUnsupported` where only SQL
+        gives SQLite's answer.
+        """
         raise NotImplementedError
 
     def attributes_referenced(self) -> frozenset[str]:
@@ -104,6 +180,13 @@ def _quote(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+def _column(columns: Columns, name: str) -> AttributeColumn:
+    column = columns[name]
+    if column is None:
+        raise ColumnarUnsupported(f"mixed storage classes in {name!r}")
+    return column
+
+
 @dataclass(frozen=True)
 class Compare(Predicate):
     """Binary comparison between an attribute and a constant."""
@@ -113,10 +196,10 @@ class Compare(Predicate):
     value: object
 
     def __post_init__(self) -> None:
-        if self.op not in _SQL_OPS:
+        if self.op not in _OPS:
             raise FilterError(
                 f"unsupported operator {self.op!r}; "
-                f"supported: {sorted(_SQL_OPS)}"
+                f"supported: {sorted(_OPS)}"
             )
         if self.value is None:
             raise FilterError(
@@ -125,7 +208,7 @@ class Compare(Predicate):
 
     def to_sql(self, ctx: CompileContext) -> tuple[str, list[object]]:
         ctx.check_attribute(self.attribute)
-        return f"{_quote(self.attribute)} {_SQL_OPS[self.op]} ?", [self.value]
+        return f"{_quote(self.attribute)} {self.op} ?", [self.value]
 
     def evaluate(
         self, row: Mapping[str, object], ctx: CompileContext
@@ -135,23 +218,19 @@ class Compare(Predicate):
         if actual is None:
             # SQL three-valued logic: NULL compares to nothing.
             return False
-        op = self.op
-        if op == "=":
-            return bool(actual == self.value)
-        if op == "!=":
-            return bool(actual != self.value)
         try:
-            if op == "<":
-                return bool(actual < self.value)  # type: ignore[operator]
-            if op == "<=":
-                return bool(actual <= self.value)  # type: ignore[operator]
-            if op == ">":
-                return bool(actual > self.value)  # type: ignore[operator]
-            return bool(actual >= self.value)  # type: ignore[operator]
+            return bool(_OPS[self.op](actual, self.value))
         except TypeError as exc:
             raise FilterError(
-                f"cannot compare {actual!r} {op} {self.value!r}"
+                f"cannot compare {actual!r} {self.op} {self.value!r}"
             ) from exc
+
+    def mask(self, columns: Columns) -> np.ndarray:
+        column = _column(columns, self.attribute)
+        literal = _literal(
+            column, self.value, ordered=self.op not in ("=", "!=")
+        )
+        return column.where_valid(_OPS[self.op](column.values, literal))
 
     def attributes_referenced(self) -> frozenset[str]:
         return frozenset({self.attribute})
@@ -194,6 +273,13 @@ class Between(Predicate):
                 f"[{self.low!r}, {self.high!r}]"
             ) from exc
 
+    def mask(self, columns: Columns) -> np.ndarray:
+        column = _column(columns, self.attribute)
+        low = _literal(column, self.low, ordered=True)
+        high = _literal(column, self.high, ordered=True)
+        values = column.values
+        return column.where_valid((values >= low) & (values <= high))
+
     def attributes_referenced(self) -> frozenset[str]:
         return frozenset({self.attribute})
 
@@ -230,6 +316,17 @@ class In(Predicate):
             return False
         return actual in self.values
 
+    def mask(self, columns: Columns) -> np.ndarray:
+        column = _column(columns, self.attribute)
+        # One equality per listed value rather than np.isin, which
+        # would first coerce the list to one dtype (ints to float64).
+        return column.where_valid(
+            reduce(
+                operator.or_,
+                (column.values == _literal(column, v) for v in self.values),
+            )
+        )
+
     def attributes_referenced(self) -> frozenset[str]:
         return frozenset({self.attribute})
 
@@ -252,6 +349,11 @@ class IsNull(Predicate):
         ctx.check_attribute(self.attribute)
         is_null = row.get(self.attribute) is None
         return not is_null if self.negate else is_null
+
+    def mask(self, columns: Columns) -> np.ndarray:
+        column = _column(columns, self.attribute)
+        not_null = column.where_valid(np.ones(len(column.values), bool))
+        return not_null if self.negate else ~not_null
 
     def attributes_referenced(self) -> frozenset[str]:
         return frozenset({self.attribute})
@@ -311,6 +413,9 @@ class Match(Predicate):
             )
         return all(tok in doc_tokens for tok in query_tokens)
 
+    def mask(self, columns: Columns) -> np.ndarray:
+        raise ColumnarUnsupported("Match")
+
     def attributes_referenced(self) -> frozenset[str]:
         return frozenset({self.attribute})
 
@@ -340,6 +445,11 @@ class And(Predicate):
         self, row: Mapping[str, object], ctx: CompileContext
     ) -> bool:
         return all(c.evaluate(row, ctx) for c in self.children)
+
+    def mask(self, columns: Columns) -> np.ndarray:
+        return reduce(
+            operator.and_, (c.mask(columns) for c in self.children)
+        )
 
     def attributes_referenced(self) -> frozenset[str]:
         return frozenset().union(
@@ -372,6 +482,11 @@ class Or(Predicate):
         self, row: Mapping[str, object], ctx: CompileContext
     ) -> bool:
         return any(c.evaluate(row, ctx) for c in self.children)
+
+    def mask(self, columns: Columns) -> np.ndarray:
+        return reduce(
+            operator.or_, (c.mask(columns) for c in self.children)
+        )
 
     def attributes_referenced(self) -> frozenset[str]:
         return frozenset().union(
@@ -407,6 +522,12 @@ class Not(Predicate):
                 return False
         return not self.child.evaluate(row, ctx)
 
+    def mask(self, columns: Columns) -> np.ndarray:
+        result = ~self.child.mask(columns)
+        for name in self.child.attributes_referenced():
+            result = _column(columns, name).where_valid(result)
+        return result
+
     def attributes_referenced(self) -> frozenset[str]:
         return self.child.attributes_referenced()
 
@@ -421,6 +542,31 @@ def _compile_children(
         parts.append(sql)
         params.extend(child_params)
     return parts, params
+
+
+def columnar_fallback_reason(
+    predicate: Predicate, ctx: CompileContext
+) -> str | None:
+    """Why ``predicate`` needs SQL, or None when :meth:`Predicate.mask`
+    can evaluate it over attribute columns.
+
+    Decided by evaluating it over zero-row columns of the declared
+    types, so the rules live in ``mask`` alone. Stored values can still
+    surprise a scan later (a mixed-class column, large integers among
+    floats); ``mask`` raises then too. Unknown attributes raise here,
+    as they would from ``to_sql``.
+    """
+    dtypes = {"INTEGER": np.int64, "REAL": np.float64, "TEXT": object}
+    columns = {}
+    for name in predicate.attributes_referenced():
+        ctx.check_attribute(name)
+        declared = ctx.attributes[name].upper()
+        columns[name] = AttributeColumn(np.empty(0, dtype=dtypes[declared]))
+    try:
+        predicate.mask(columns)
+    except ColumnarUnsupported as exc:
+        return str(exc)
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,7 @@ from repro.query.distance import distances_to_one, make_code_scorer
 from repro.query.executor import (
     _PARALLEL_SCAN_ELEMENTS,
     QueryExecutor,
+    RowFilter,
     _masked,
     adaptive_skip,
 )
@@ -134,7 +135,7 @@ class _ScanTask:
     """Per-query state of one scheduled ANN / post-filter search."""
 
     __slots__ = (
-        "query", "k", "nprobe", "qualifying_ids", "plan", "stats_extra",
+        "query", "k", "nprobe", "row_filter", "plan", "stats_extra",
         "setup_fn", "future", "quantizer", "scorer", "rerank_pool",
         "heap", "approx", "exact", "pending", "num_selected", "lock",
         "failed", "finished", "scanned", "computed", "filtered",
@@ -148,7 +149,7 @@ class _ScanTask:
         query: np.ndarray,
         k: int,
         nprobe: int,
-        qualifying_ids: frozenset[str] | None,
+        row_filter: RowFilter | None,
         plan: PlanKind,
         stats_extra: dict | None,
         setup_fn: Callable | None = None,
@@ -156,7 +157,7 @@ class _ScanTask:
         self.query = query
         self.k = k
         self.nprobe = nprobe
-        self.qualifying_ids = qualifying_ids
+        self.row_filter = row_filter
         self.plan = plan
         self.stats_extra = stats_extra
         self.setup_fn = setup_fn
@@ -249,7 +250,7 @@ class _ScanTask:
                 return
         if not len(entry):
             return
-        rows, matrix, dropped = _masked(entry, self.qualifying_ids)
+        rows, matrix, dropped = _masked(entry, self.row_filter)
         dist = None
         if len(matrix):
             if is_codes:
@@ -373,7 +374,7 @@ class QueryScheduler:
         query: np.ndarray,
         k: int,
         nprobe: int,
-        qualifying_ids: frozenset[str] | None = None,
+        row_filter: RowFilter | None = None,
         plan: PlanKind = PlanKind.ANN,
         stats_extra: dict | None = None,
         setup: Callable | None = None,
@@ -389,10 +390,11 @@ class QueryScheduler:
         ``setup``, when given, runs on the compute pool at admission
         and returns either ``("call", fn, extra)`` — the query resolves
         to one serial call (e.g. the optimizer picked pre-filtering) —
-        or ``("scan", qualifying_ids, extra)`` to proceed through the
-        shared scan stage. This keeps plan resolution and predicate
-        evaluation (a full attribute-table scan for broad filters) off
-        the caller's thread and inside admission control.
+        or ``("scan", row_filter, extra)`` to proceed through the
+        shared scan stage. This keeps plan resolution off the caller's
+        thread and inside admission control; the filter itself is
+        evaluated where partitions are scored (its SQL fallback's one
+        statement included, on first use).
 
         Caller contract (``MicroNN.search_async`` is the sole caller):
         ``query`` is already canonicalized via ``executor.as_query``
@@ -402,7 +404,7 @@ class QueryScheduler:
         if nprobe < 1:
             raise ValueError("nprobe must be >= 1")
         task = _ScanTask(
-            query, k, nprobe, qualifying_ids, plan, stats_extra,
+            query, k, nprobe, row_filter, plan, stats_extra,
             setup_fn=setup,
         )
         self._enqueue(task)
@@ -493,7 +495,7 @@ class QueryScheduler:
             if kind == "call":
                 self._execute_call(task, payload, extra)
                 return
-            task.qualifying_ids = payload
+            task.row_filter = payload
             if extra:
                 task.stats_extra = extra
         # Selection reads the centroid table; register with the purge

@@ -11,13 +11,20 @@ clustered layout makes partition reads sequential. Cold-start scenarios
 purge the cache (``clear``); warm-cache scenarios pre-populate it by
 running warm-up queries. Writers invalidate the partitions they touch so
 readers never see stale data.
+
+A cached partition also carries the attribute columns of its rows
+(:class:`AttributeColumn`) once a filtered scan has asked for them: the
+hybrid post-filter plan masks a partition with one NumPy comparison
+over them instead of consulting SQL per query, and they are dropped by
+exactly the invalidations that drop the vectors beside them.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +48,76 @@ DELTA_CODES_CATEGORY = "delta_codes"
 ROW_ID_OVERHEAD_BYTES = 16
 
 
+#: Largest integer magnitude a float64 represents exactly: up to here
+#: NumPy's int/float comparisons agree with SQLite's exact ones.
+FLOAT_EXACT_INT = 2**53
+
+
+@dataclass(frozen=True)
+class AttributeColumn:
+    """One attribute of a partition's rows, in the partition's row order.
+
+    ``values`` is ``int64`` when every stored value is an integer,
+    ``float64`` for floats (or integers among floats), an object array
+    of ``str`` for a ``TEXT`` attribute. ``valid`` marks the non-NULL
+    rows — a row with no ``attributes`` row at all is NULL in every
+    column — and is ``None`` when there is no NULL; a NULL slot of
+    ``values`` holds a filler that ``valid`` masks out.
+    """
+
+    values: np.ndarray
+    valid: np.ndarray | None = None
+
+    @property
+    def nbytes(self) -> int:
+        valid = 0 if self.valid is None else int(self.valid.nbytes)
+        return int(self.values.nbytes) + valid
+
+    @classmethod
+    def from_values(
+        cls, values: Sequence[object], declared: str
+    ) -> "AttributeColumn | None":
+        """Type one fetched column, or None when it cannot be typed.
+
+        SQLite's column affinity leaves a ``TEXT`` attribute holding
+        text and an ``INTEGER``/``REAL`` one holding numbers, except
+        for values the affinity could not convert (a word in an
+        ``INTEGER`` column, a blob anywhere). Such a column of mixed
+        storage classes — and one whose integers beyond 2^53 sit among
+        floats, which float64 cannot order exactly — is reported as
+        None: SQLite's cross-class ordering is not reproduced here.
+        """
+        kinds = set(map(type, values))
+        text = declared == "TEXT"
+        valid = None
+        if type(None) in kinds:
+            kinds.discard(type(None))
+            valid = np.array([v is not None for v in values], dtype=bool)
+            if not text:
+                values = [0 if v is None else v for v in values]
+        if text:
+            if not kinds <= {str}:
+                return None
+            array = np.empty(len(values), dtype=object)
+            array[:] = values
+        elif kinds <= {int}:
+            array = np.array(values, dtype=np.int64)
+        elif kinds <= {int, float}:
+            if any(
+                type(v) is int and abs(v) > FLOAT_EXACT_INT for v in values
+            ):
+                return None
+            array = np.array(values, dtype=np.float64)
+        else:
+            return None
+        return cls(array, valid)
+
+    def where_valid(self, mask: np.ndarray) -> np.ndarray:
+        """``mask`` with the NULL rows cleared (NULL compares to
+        nothing, SQL's three-valued logic)."""
+        return mask if self.valid is None else mask & self.valid
+
+
 @dataclass(frozen=True)
 class CachedPartition:
     """A decoded partition: row identities plus the vector matrix.
@@ -62,6 +139,13 @@ class CachedPartition:
     (the serving scheduler's cost model) must prefer it over
     reconstructing bytes from ``nbytes``. ``None`` on entries built
     away from a backend read (e.g. in-memory delta codes).
+
+    ``columns`` holds the rows' attribute columns (name → column, in
+    row order; None marks a column that could not be typed), filled
+    the first time a filtered scan masks this entry and only through
+    the owning cache's ``attach_columns``, which charges their bytes.
+    They live and die with the entry: whatever invalidates the vectors
+    invalidates the attributes read beside them.
     """
 
     partition_id: int
@@ -70,12 +154,18 @@ class CachedPartition:
     matrix: np.ndarray
     lease: "ScratchLease | None" = None
     stored_bytes: int | None = None
+    columns: dict[str, AttributeColumn | None] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def nbytes(self) -> int:
-        # Account the matrix plus a small fixed overhead per row for ids.
-        return int(self.matrix.nbytes) + ROW_ID_OVERHEAD_BYTES * len(
-            self.asset_ids
+        # The matrix, a small fixed overhead per row for ids, and the
+        # attribute columns attached so far.
+        return (
+            int(self.matrix.nbytes)
+            + ROW_ID_OVERHEAD_BYTES * len(self.asset_ids)
+            + sum(c.nbytes for c in self.columns.values() if c is not None)
         )
 
     def __len__(self) -> int:
@@ -172,13 +262,44 @@ class PartitionCache:
             old = self._entries.pop(entry.partition_id, None)
             if old is not None:
                 self._used -= old.nbytes
-            while self._used + nbytes > self._budget and self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._used -= evicted.nbytes
             self._entries[entry.partition_id] = entry
             self._used += nbytes
-            self._sync_tracker()
+            self._evict_to_budget()
         return True
+
+    def attach_columns(
+        self,
+        entry: CachedPartition,
+        columns: Mapping[str, AttributeColumn | None],
+        generation: int,
+    ) -> None:
+        """Park attribute columns read at ``generation`` on ``entry``.
+
+        The same guard as :meth:`put`: columns read from a snapshot
+        that an invalidation has since moved past may predate the
+        write, while ``entry`` may already be its post-write reload —
+        they serve the scan that read them and are not kept. While the
+        cache holds ``entry`` their bytes are charged to it, evicting
+        LRU entries if that overruns the budget; an entry the cache
+        does not hold (never admitted, evicted) dies with its scan.
+        """
+        with self._lock:
+            if generation != self._generation:
+                return
+            before = entry.nbytes
+            for name, column in columns.items():
+                entry.columns.setdefault(name, column)
+            if self._entries.get(entry.partition_id) is entry:
+                self._used += entry.nbytes - before
+                self._evict_to_budget()
+
+    def _evict_to_budget(self) -> None:
+        # Caller holds self._lock. The LRU end never reaches an entry
+        # just put: it fits the budget alone.
+        while self._used > self._budget and self._entries:
+            _, evicted = self._entries.popitem(last=False)
+            self._used -= evicted.nbytes
+        self._sync_tracker()
 
     def invalidate(self, partition_id: int) -> None:
         """Drop one partition (called by writers that touched it)."""
@@ -271,6 +392,21 @@ class DeltaCodesCache:
             self._entry = entry
             self._sync_tracker()
             return True
+
+    def attach_columns(
+        self,
+        entry: CachedPartition,
+        columns: Mapping[str, AttributeColumn | None],
+        generation: int,
+    ) -> None:
+        """Park attribute columns read at ``generation`` on ``entry``
+        (see :meth:`PartitionCache.attach_columns`)."""
+        with self._lock:
+            if generation != self._generation:
+                return
+            for name, column in columns.items():
+                entry.columns.setdefault(name, column)
+            self._sync_tracker()
 
     def invalidate(self) -> None:
         """Drop the cached codes (any delta write, purge, or retrain)."""

@@ -65,6 +65,7 @@ from repro.storage.backends.base import (
 from repro.storage.cache import (
     CODES_CACHE_CATEGORY,
     ROW_ID_OVERHEAD_BYTES,
+    AttributeColumn,
     CachedPartition,
     DeltaCodesCache,
     PartitionCache,
@@ -1672,6 +1673,51 @@ class StorageEngine:
     # Reads: attributes
     # ------------------------------------------------------------------
 
+    def attribute_columns(
+        self, entry: CachedPartition, names: Sequence[str]
+    ) -> Mapping[str, AttributeColumn | None]:
+        """The ``names`` attribute columns of ``entry``'s rows, in its
+        row order (None for a column of mixed storage classes).
+
+        What the post-filter plan masks a scanned partition with.
+        Columns already on the entry are returned as they are — no
+        SQL. Missing ones are read once (:meth:`get_attributes_many`,
+        ``asset_id IN (...)``) inside the scan's read snapshot,
+        aligned to the entry's rows (an asset with no attributes row
+        is NULL throughout) and parked on the entry through the cache
+        that owns it, under the snapshot's cache generation: columns
+        from a snapshot a write has since invalidated serve this scan
+        only, like a partition loaded from one. A transient scratch
+        entry is never cached, so its columns are read per scan.
+        """
+        columns = entry.columns
+        missing = [name for name in names if name not in columns]
+        if not missing:
+            return columns
+        self._validate_attributes(missing)
+        declared = self._config.normalized_attributes
+        if entry.matrix.dtype != CODE_DTYPE:
+            owner = self.cache
+        elif entry.partition_id == DELTA_PARTITION_ID:
+            owner = self.delta_codes
+        else:
+            owner = self.codes_cache
+        ids = entry.asset_ids
+        with self.read_snapshot():
+            generation = self._local.cache_generations[owner]
+            fetched = self.get_attributes_many(ids, missing)
+        self._accountant.record_read(_ROW_OVERHEAD_BYTES * len(fetched))
+        absent: dict[str, object] = {}
+        loaded = {
+            name: AttributeColumn.from_values(
+                [fetched.get(a, absent).get(name) for a in ids],
+                declared[name],
+            )
+            for name in missing
+        }
+        owner.attach_columns(entry, loaded, generation)
+        return {**columns, **loaded}
+
     def query_attribute_ids(
         self, where_sql: str, params: Sequence[object]
     ) -> list[str]:
@@ -1714,17 +1760,20 @@ class StorageEngine:
         return dict(zip(names, row))
 
     def get_attributes_many(
-        self, asset_ids: Sequence[str]
+        self, asset_ids: Sequence[str], names: Sequence[str] | None = None
     ) -> dict[str, dict[str, object]]:
         """Attribute values for many assets in one query per chunk.
 
         The bulk twin of :meth:`get_attributes` (used by the sharded
         engine's rebalance row stream, where a per-row point query
-        would dominate the copy): one ``IN (...)`` select per 512-id
-        chunk, missing assets simply absent from the result.
+        would dominate the copy, and by :meth:`attribute_columns`):
+        one ``IN (...)`` select per 512-id chunk of the ``names``
+        attributes (default: all declared), missing assets simply
+        absent from the result.
         """
         self._check_open()
-        names = list(self._config.normalized_attributes)
+        if names is None:
+            names = list(self._config.normalized_attributes)
         if not names:
             return {}
         cols = ", ".join(schema_mod._quote_ident(n) for n in names)

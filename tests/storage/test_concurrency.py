@@ -1,12 +1,14 @@
 """Concurrency tests: single writer, snapshot-isolated readers (§3.6)."""
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro import DeviceProfile, MicroNN, MicroNNConfig
+from repro import DeviceProfile, Eq, MicroNN, MicroNNConfig, PlanKind
+from repro.core.types import MaintenanceAction
 from tests.conftest import requires_file_backend, requires_row_layout
 
 
@@ -120,8 +122,6 @@ class TestConcurrentReadersWriter:
             db.close()
 
     def test_concurrent_maintenance_and_queries(self, tmp_path, config, rng):
-        from repro.core.types import MaintenanceAction
-
         db = MicroNN.open(tmp_path / "c.db", config)
         try:
             vecs = populate(db, rng)
@@ -149,6 +149,113 @@ class TestConcurrentReadersWriter:
             assert db.index_stats().delta_vectors == 0
         finally:
             db.close()
+
+
+    @pytest.mark.parametrize("quantization", ["none", "sq8"])
+    def test_filtered_readers_never_keep_a_stale_attribute_column(
+        self, tmp_path, rng, quantization
+    ):
+        """This thread flips assets' ``flag`` in bursts (each flip moves
+        the asset to the delta; flushes move them back) while readers
+        run post-filtered searches, serial and served, which park
+        attribute columns on whatever entries they scan. After every
+        burst — readers still running — a filtered search must reflect
+        the last committed value of every asset, in partitions and in
+        the delta alike: no column outlived the invalidation of the
+        entry it was read for.
+        """
+        count = 120
+        config = MicroNNConfig(
+            dim=8,
+            target_cluster_size=10,
+            kmeans_iterations=10,
+            default_nprobe=3,
+            quantization=quantization,
+            delta_quantize_threshold=8,
+            attributes={"flag": "INTEGER"},
+            # Room for about half the partitions: scans mix hits with
+            # misses, and a scan with a miss holds one snapshot
+            # throughout — the window a stale column needs.
+            device=DeviceProfile(
+                name="half-cached",
+                worker_threads=2,
+                partition_cache_bytes=3 * 1024,
+            ),
+        )
+        db = MicroNN.open(tmp_path / "c.db", config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        stop = threading.Event()
+        readers: list[threading.Thread] = []
+        try:
+            vecs = rng.normal(size=(count, 8)).astype(np.float32)
+            flags = [i % 2 for i in range(count)]
+            db.upsert_batch(
+                (f"a{i:04d}", vecs[i], {"flag": flags[i]})
+                for i in range(count)
+            )
+            db.build_index()
+            errors: list[str] = []
+
+            def served(*args, **kwargs):
+                return db.search_async(*args, **kwargs).result(30)
+
+            def reader(search, seed: int):
+                local_rng = np.random.default_rng(seed)
+                while not stop.is_set():
+                    try:
+                        search(
+                            local_rng.normal(size=8).astype(np.float32),
+                            k=5,
+                            nprobe=6,
+                            filters=Eq("flag", int(local_rng.integers(2))),
+                            plan=PlanKind.POST_FILTER,
+                        )
+                    except Exception as exc:  # surfaced below
+                        errors.append(repr(exc))
+                        return
+
+            readers += [
+                threading.Thread(target=reader, args=(search, seed))
+                for seed, search in enumerate(
+                    (db.search, db.search, db.search, served)
+                )
+            ]
+            for t in readers:
+                t.start()
+            for burst in range(12):
+                for i in rng.integers(0, count, 6).tolist():
+                    flags[i] = 1 - flags[i]
+                    db.upsert(f"a{i:04d}", vecs[i], {"flag": flags[i]})
+                if burst % 5 == 3:
+                    db.maintain(force=MaintenanceAction.INCREMENTAL_FLUSH)
+                for want in (0, 1):
+                    expected = {
+                        f"a{i:04d}" for i in range(count) if flags[i] == want
+                    }
+                    for search in (db.search, served):
+                        found = search(
+                            vecs[0],
+                            k=count,
+                            nprobe=10**6,
+                            filters=Eq("flag", want),
+                            plan=PlanKind.POST_FILTER,
+                        )
+                        assert set(found.asset_ids) == expected
+                        assert (
+                            found.stats.rows_filtered
+                            == count - len(expected)
+                        )
+            assert db.index_stats().delta_vectors > 0
+            assert not errors
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+            alive = [t for t in readers if t.is_alive()]
+            db.close()
+            assert not alive
 
 
 class TestSnapshotIsolation:
