@@ -750,11 +750,7 @@ class MicroNN:
         nprobe = nprobe or self._config.default_nprobe
         decision = self.plan_for(filters, nprobe)
         total = len(self)
-        # How a scan masks partitions by this predicate; the pre-filter
-        # plan evaluates it through SQL whatever its shape.
-        in_scan = self._executor.row_filter_for(filters).describe()
-        if decision.kind is PlanKind.PRE_FILTER:
-            in_scan = f"sql (pre-filter plan; post-filter: {in_scan})"
+        how = self.filter_description(filters, decision)
         lines = [
             f"hybrid query plan (k={k}, nprobe={nprobe}, |R|={total})",
             f"  partition scan:   {self.scan_mode_description(k)}",
@@ -770,7 +766,7 @@ class MicroNN:
                 "  IVF probe:        selectivity threshold F_IVF = "
                 f"{decision.ivf_selectivity:.6f}"
             ),
-            f"  filter:           {in_scan}",
+            f"  filter:           {how}",
         ]
         quarantined = self._engine.quarantined_partitions
         if quarantined:
@@ -795,6 +791,18 @@ class MicroNN:
                 "apply the filter during partition retrieval."
             )
         return "\n".join(lines)
+
+    def filter_description(
+        self, filters: Predicate, decision: PlanDecision
+    ) -> str:
+        """How the chosen plan evaluates ``filters``: in the scan,
+        ``columnar(...)`` over cached attribute columns or ``sql
+        (...)`` through the qualifying-set fallback; the pre-filter
+        plan evaluates it through SQL whatever its shape."""
+        in_scan = self._executor.row_filter_for(filters).describe()
+        if decision.kind is PlanKind.PRE_FILTER:
+            return f"sql (pre-filter plan; post-filter: {in_scan})"
+        return in_scan
 
     def scan_mode(self) -> str:
         """How ANN scans read partitions: "float32", "sq8" or "pq".

@@ -1,6 +1,6 @@
 """Public result and statistics types returned by the MicroNN API.
 
-These are small immutable dataclasses: a query returns a
+These are small immutable records: a query returns a
 :class:`SearchResult` (ranked :class:`Neighbor` entries plus a
 :class:`QueryStats` describing how the query was executed), and index
 operations return :class:`IndexStats` / :class:`MaintenanceReport`
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from repro.obs.trace import QueryTrace
@@ -31,17 +31,12 @@ class PlanKind(enum.Enum):
     POST_FILTER = "post_filter"
 
 
-@dataclass(frozen=True, slots=True)
-class Neighbor:
-    """One ranked search hit."""
+class Neighbor(NamedTuple):
+    """One ranked search hit: an immutable ``(asset_id, distance)``
+    pair that unpacks, hashes and compares as that plain tuple."""
 
     asset_id: str
     distance: float
-
-    def __iter__(self) -> Iterator[object]:
-        # Allow ``for asset_id, distance in result`` style unpacking.
-        yield self.asset_id
-        yield self.distance
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = [
     "PartitionHeat",
@@ -195,6 +196,16 @@ class WorkloadMonitor:
             else:
                 entry.cold_misses += 1
                 entry.bytes_read += int(nbytes)
+
+    def record_hot_accesses(self, partition_ids: Sequence[int]) -> None:
+        """:meth:`record_access` of each cache hit, under one lock."""
+        if not self.enabled:
+            return
+        with self._lock:
+            for partition_id in partition_ids:
+                entry = self._entry(partition_id)
+                entry.scans += 1
+                entry.hot_hits += 1
 
     def record_skip(self, partition_id: int) -> None:
         """One adaptive-nprobe skip of a probe-set partition."""

@@ -87,41 +87,62 @@ def distances_to_one(
             f"dimension mismatch: query {q.shape[0]} vs vectors "
             f"{v.shape[1]}"
         )
-    n = v.shape[0]
-    out = np.empty(n, dtype=np.float32)
+    out = np.empty(v.shape[0], dtype=np.float32)
+    distances_into(q, [v], metric, out)
+    return out
+
+
+def distances_into(
+    query: np.ndarray,
+    matrices: list[np.ndarray],
+    metric: str,
+    out: np.ndarray,
+) -> None:
+    """:func:`distances_to_one` of each matrix, written back to back
+    into the float32 ``out`` (one slot per row of all of them).
+
+    The one implementation of the row-stable kernel: a query's whole
+    probe set is scored into one array with no stacked copy of the
+    matrices, and every value is bit-identical to scoring its matrix
+    alone. ``query`` is a 1-D float32 vector of the matrices' width.
+    """
     if metric == "l2":
-        # One diff buffer reused across blocks: multi-block scans
-        # (exact search batches, large partitions) pay a single
-        # allocation instead of one per block.
+        # One diff buffer for every block of every matrix.
         diff = np.empty(
-            (min(n, _ROW_BLOCK), v.shape[1]), dtype=np.float32
+            (min(max(map(len, matrices), default=0), _ROW_BLOCK), len(query)),
+            dtype=np.float32,
         )
-        for lo in range(0, n, _ROW_BLOCK):
-            block = v[lo : lo + _ROW_BLOCK]
-            d = diff[: block.shape[0]]
-            np.subtract(block, q, out=d)
-            np.einsum(
-                "ij,ij->i", d, d, out=out[lo : lo + _ROW_BLOCK]
-            )
+
+        def score(block: np.ndarray, seg: np.ndarray) -> None:
+            d = diff[: len(block)]
+            np.subtract(block, query, out=d)
+            np.einsum("ij,ij->i", d, d, out=seg)
+
+    elif metric == "dot":
+
+        def score(block: np.ndarray, seg: np.ndarray) -> None:
+            np.einsum("ij,j->i", block, query, out=seg)
+            np.negative(seg, out=seg)
+
     elif metric == "cosine":
-        q_unit = q / max(float(np.sqrt(np.dot(q, q))), _EPS)
-        for lo in range(0, n, _ROW_BLOCK):
-            block = v[lo : lo + _ROW_BLOCK]
-            seg = out[lo : lo + _ROW_BLOCK]
+        unit = query / max(float(np.sqrt(np.dot(query, query))), _EPS)
+
+        def score(block: np.ndarray, seg: np.ndarray) -> None:
             norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-            np.einsum("ij,j->i", block, q_unit, out=seg)
+            np.einsum("ij,j->i", block, unit, out=seg)
             np.divide(seg, np.maximum(norms, _EPS), out=seg)
             np.clip(seg, -1.0, 1.0, out=seg)
             np.subtract(1.0, seg, out=seg)
-    elif metric == "dot":
-        for lo in range(0, n, _ROW_BLOCK):
-            block = v[lo : lo + _ROW_BLOCK]
-            seg = out[lo : lo + _ROW_BLOCK]
-            np.einsum("ij,j->i", block, q, out=seg)
-            np.negative(seg, out=seg)
+
     else:
         raise ConfigError(f"unsupported metric {metric!r}")
-    return out
+    lo = 0
+    for v in matrices:
+        for start in range(0, len(v), _ROW_BLOCK):
+            block = v[start : start + _ROW_BLOCK]
+            hi = lo + len(block)
+            score(block, out[lo:hi])
+            lo = hi
 
 
 def surface_distance(value: float, metric: str) -> float:

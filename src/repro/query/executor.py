@@ -5,20 +5,17 @@ The ANN path is Algorithm 2 verbatim:
 1. scan the centroid table and pick the ``n`` partitions whose
    centroids are nearest to the query;
 2. always add the delta partition, so un-flushed inserts are visible;
-3. scan the selected partitions in parallel — each worker thread owns a
-   bounded :class:`~repro.query.heap.TopKHeap` and processes its share
-   of partitions, computing distances in one batched kernel call per
-   partition and folding the distance array (plus the row positions a
-   filter kept) into the accumulator as-is: no per-row Python, and no
-   asset-id string is read while scanning. A scan with cache-missing
-   probes loads and scores one partition at a time on this thread,
-   inside one read snapshot; while the engine observes cold loads
-   *blocking*, it runs as a two-stage I/O–compute pipeline instead
-   (:mod:`repro.query.pipeline`): partitions are prefetched in
-   centroid-distance order and scored as they arrive, so the disk and
-   the cores are busy at the same time;
-4. merge the per-thread accumulators, resolve asset-id strings for the
-   K survivors only, and surface them.
+3. score the selected partitions. A warm query — every probe in the
+   partition cache — scores them all into one distance array, one
+   batched kernel pass per partition (the worker pool fills disjoint
+   slices of it once the scan is large), with no per-row Python and
+   no asset-id string read. A scan with cache-missing probes loads,
+   scores and folds into a bounded :class:`~repro.query.heap.TopKHeap`
+   one partition at a time, inside one read snapshot; while cold loads
+   are seen *blocking* it runs as a two-stage I/O–compute pipeline
+   instead (:mod:`repro.query.pipeline`), so disk and cores overlap;
+4. cut to the K best once, read asset-id strings for those survivors
+   only, and surface them.
 
 With ``quantization="sq8"`` or ``"pq"`` step 3 becomes the *fast scan
 path*: code partitions are scanned with the kind-dispatched quantized
@@ -66,6 +63,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import Tracer
 from repro.query.distance import (
+    distances_into,
     distances_to_one,
     make_code_scorer,
 )
@@ -80,6 +78,7 @@ from repro.query.heap import (
     TopKHeap,
     merge_topk,
     push_topk,
+    rank_scored,
     surfaced_neighbors,
 )
 from repro.query.pipeline import (
@@ -401,30 +400,16 @@ class QueryExecutor:
     # serial path's numerics — the bit-identical-results guarantee
     # reduces to "same kernels, same merges, different I/O schedule".
 
-    def as_query(self, query: np.ndarray) -> np.ndarray:
-        """Validate + canonicalize a query vector (serving layer)."""
-        return self._as_query(query)
-
     def row_filter_for(self, predicate: Predicate) -> RowFilter:
         """``predicate`` compiled for a post-filtered scan (raises for
         an attribute the schema does not declare)."""
         return RowFilter(self, predicate)
 
-    def scan_quantizer(self) -> Quantizer | None:
-        """The quantizer driving scans, or None (see _scan_quantizer)."""
-        return self._scan_quantizer()
-
-    def rerank_candidates(
-        self, candidates, query: np.ndarray, k: int
-    ) -> tuple[TopKHeap, int]:
-        """Exact rerank of approximate candidates (serving layer)."""
-        return self._rerank(candidates, query, k)
-
     def finalize_heaps(
         self, heaps: list[TopKHeap], k: int
     ) -> tuple[Neighbor, ...]:
         """Merge heaps into surfaced neighbors (serving layer)."""
-        return self._finalize(heaps, k)
+        return surfaced_neighbors(merge_topk(heaps, k), self._config.metric)
 
     def record_query_stats(self, stats: QueryStats) -> None:
         """Fold one finished query into the metrics/event substrate.
@@ -496,17 +481,9 @@ class QueryExecutor:
         guarantee that shadow queries cannot recurse.
         """
         _check_k(k)
-        query = self._as_query(query)
-        heap = TopKHeap(k)
-        with self._engine.scan_session():
-            for ids, matrix in self._engine.iter_vector_batches(
-                batch_size=4096
-            ):
-                dist = distances_to_one(
-                    query, matrix, self._config.metric
-                )
-                push_topk(heap, ids, dist, k)
-        return [n.asset_id for n in self._finalize([heap], k)]
+        merged, _ = self._exhaustive(self.as_query(query), k)
+        neighbors = surfaced_neighbors(merged, self._config.metric)
+        return [n.asset_id for n in neighbors]
 
     # ------------------------------------------------------------------
     # Plan entry points
@@ -525,7 +502,7 @@ class QueryExecutor:
         _check_k(k)
         start = time.perf_counter()
         io_before = self._engine.accountant.snapshot()
-        query = self._as_query(query)
+        query = self.as_query(query)
 
         with _span(
             tracer, "search_ann", plan=plan.value, k=k, nprobe=nprobe
@@ -538,7 +515,7 @@ class QueryExecutor:
                         row_filter.qualifying_ids()
                 with _span(tracer, "select_partitions") as select_span:
                     partitions = self.select_partitions(query, nprobe)
-                    quantizer = self._scan_quantizer()
+                    quantizer = self.scan_quantizer()
                     if select_span is not None:
                         select_span.set(probe_set=len(partitions))
                 with _span(tracer, "scan_partitions") as scan_span:
@@ -546,8 +523,9 @@ class QueryExecutor:
                         heaps, outcome = self._scan_partitions_quantized(
                             partitions, query, k, row_filter, quantizer
                         )
+                        merged = merge_topk(heaps, k)
                     else:
-                        heaps, outcome = self._scan_partitions(
+                        merged, outcome = self._scan_partitions(
                             partitions, query, k, row_filter
                         )
                     if scan_span is not None:
@@ -563,12 +541,17 @@ class QueryExecutor:
                             ),
                         )
             with _span(tracer, "finalize"):
-                neighbors = self._finalize(heaps, k)
+                neighbors = surfaced_neighbors(merged, self._config.metric)
 
         if outcome.pipelined:
             self._m_pipeline_depth.observe(outcome.max_depth)
-        io_delta = self._engine.accountant.delta_since(io_before)
-        stats = QueryStats(
+        return self._finish(
+            query,
+            k,
+            neighbors,
+            tracer,
+            start,
+            io_before,
             plan=plan,
             nprobe=nprobe,
             partitions_scanned=len(partitions)
@@ -576,25 +559,12 @@ class QueryExecutor:
             vectors_scanned=outcome.vectors_scanned,
             distance_computations=outcome.distance_computations,
             rows_filtered=outcome.rows_filtered,
-            cache_hits=io_delta.cache_hits,
-            cache_misses=io_delta.cache_misses,
-            bytes_read=io_delta.bytes_read,
-            latency_s=time.perf_counter() - start,
             scan_mode=outcome.scan_mode,
             candidates_reranked=outcome.candidates_reranked,
             io_time_ms=outcome.io_time_s * 1e3,
             compute_time_ms=outcome.compute_time_s * 1e3,
             scan_pipelined=outcome.pipelined,
             partitions_skipped=outcome.partitions_skipped,
-            partitions_quarantined=io_delta.partitions_quarantined,
-            degraded=io_delta.partitions_quarantined > 0,
-        )
-        self.record_query_stats(stats)
-        self.observe_completed_query(query, k, stats, neighbors)
-        return SearchResult(
-            neighbors=neighbors,
-            stats=stats,
-            trace=tracer.finish() if tracer is not None else None,
         )
 
     def search_exact(
@@ -610,39 +580,23 @@ class QueryExecutor:
             return self.search_prefilter(query, k, predicate, tracer=tracer)
         start = time.perf_counter()
         io_before = self._engine.accountant.snapshot()
-        query = self._as_query(query)
+        query = self.as_query(query)
 
-        heap = TopKHeap(k)
-        scanned = 0
         with _span(tracer, "search_exact", k=k):
-            with self._engine.scan_session(), _span(tracer, "full_scan"):
-                for ids, matrix in self._engine.iter_vector_batches(
-                    batch_size=4096
-                ):
-                    scanned += len(ids)
-                    dist = distances_to_one(
-                        query, matrix, self._config.metric
-                    )
-                    push_topk(heap, ids, dist, k)
+            with _span(tracer, "full_scan"):
+                merged, scanned = self._exhaustive(query, k)
             with _span(tracer, "finalize"):
-                neighbors = self._finalize([heap], k)
-
-        io_delta = self._engine.accountant.delta_since(io_before)
-        stats = QueryStats(
+                neighbors = surfaced_neighbors(merged, self._config.metric)
+        return self._finish(
+            query,
+            k,
+            neighbors,
+            tracer,
+            start,
+            io_before,
             plan=PlanKind.EXACT,
             vectors_scanned=scanned,
             distance_computations=scanned,
-            bytes_read=io_delta.bytes_read,
-            latency_s=time.perf_counter() - start,
-            partitions_quarantined=io_delta.partitions_quarantined,
-            degraded=io_delta.partitions_quarantined > 0,
-        )
-        self.record_query_stats(stats)
-        self.observe_completed_query(query, k, stats, neighbors)
-        return SearchResult(
-            neighbors=neighbors,
-            stats=stats,
-            trace=tracer.finish() if tracer is not None else None,
         )
 
     def search_prefilter(
@@ -656,7 +610,7 @@ class QueryExecutor:
         _check_k(k)
         start = time.perf_counter()
         io_before = self._engine.accountant.snapshot()
-        query = self._as_query(query)
+        query = self.as_query(query)
 
         with _span(tracer, "search_prefilter", k=k):
             with self._engine.scan_session():
@@ -669,28 +623,20 @@ class QueryExecutor:
                         )
                     )
             with _span(tracer, "finalize"):
-                neighbors = self._finalize(
-                    [self._scan_work([(found_ids, None, matrix)], query, k)],
-                    k,
+                neighbors = surfaced_neighbors(
+                    self._score_cut([(found_ids, None, matrix)], query, k),
+                    self._config.metric,
                 )
-
-        io_delta = self._engine.accountant.delta_since(io_before)
-        stats = QueryStats(
+        return self._finish(
+            query,
+            k,
+            neighbors,
+            tracer,
+            start,
+            io_before,
             plan=PlanKind.PRE_FILTER,
             vectors_scanned=len(found_ids),
             distance_computations=len(found_ids),
-            rows_filtered=0,
-            bytes_read=io_delta.bytes_read,
-            latency_s=time.perf_counter() - start,
-            partitions_quarantined=io_delta.partitions_quarantined,
-            degraded=io_delta.partitions_quarantined > 0,
-        )
-        self.record_query_stats(stats)
-        self.observe_completed_query(query, k, stats, neighbors)
-        return SearchResult(
-            neighbors=neighbors,
-            stats=stats,
-            trace=tracer.finish() if tracer is not None else None,
         )
 
     def search_postfilter(
@@ -715,7 +661,52 @@ class QueryExecutor:
     # Internals
     # ------------------------------------------------------------------
 
-    def _as_query(self, query: np.ndarray) -> np.ndarray:
+    def _finish(
+        self,
+        query: np.ndarray,
+        k: int,
+        neighbors: tuple[Neighbor, ...],
+        tracer: Tracer | None,
+        start: float,
+        io_before,
+        **fields,
+    ) -> SearchResult:
+        """A plan's result: its stats (``fields`` plus its clock and I/O
+        window since ``start`` / ``io_before``) through both telemetry
+        funnels."""
+        io = self._engine.accountant.delta_since(io_before)
+        stats = QueryStats(
+            cache_hits=io.cache_hits,
+            cache_misses=io.cache_misses,
+            bytes_read=io.bytes_read,
+            latency_s=time.perf_counter() - start,
+            partitions_quarantined=io.partitions_quarantined,
+            degraded=io.partitions_quarantined > 0,
+            **fields,
+        )
+        self.record_query_stats(stats)
+        self.observe_completed_query(query, k, stats, neighbors)
+        trace = tracer.finish() if tracer is not None else None
+        return SearchResult(neighbors=neighbors, stats=stats, trace=trace)
+
+    def _exhaustive(
+        self, query: np.ndarray, k: int
+    ) -> tuple[tuple[list[str], np.ndarray], int]:
+        """The exact top K over every stored vector, streamed in
+        bounded batches, and the number of vectors scanned."""
+        heap = TopKHeap(k)
+        scanned = 0
+        with self._engine.scan_session():
+            for ids, matrix in self._engine.iter_vector_batches(
+                batch_size=4096
+            ):
+                scanned += len(ids)
+                dist = distances_to_one(query, matrix, self._config.metric)
+                push_topk(heap, ids, dist, k)
+        return merge_topk([heap], k), scanned
+
+    def as_query(self, query: np.ndarray) -> np.ndarray:
+        """Validate + canonicalize a query vector."""
         arr = np.asarray(query, dtype=np.float32).reshape(-1)
         if arr.shape[0] != self._config.dim:
             raise FilterError(
@@ -856,68 +847,83 @@ class QueryExecutor:
         query: np.ndarray,
         k: int,
         row_filter: RowFilter | None,
-    ) -> tuple[list[TopKHeap], _ScanOutcome]:
-        """Partition scans with per-worker bounded heaps (Algorithm 2).
+    ) -> tuple[tuple[list[str], np.ndarray], _ScanOutcome]:
+        """Float32 partition scan (Algorithm 2) down to the K best
+        ``(asset_ids, distances)``.
 
-        A scan with cache-missing probes runs the two-stage I/O–compute
-        pipeline (:mod:`repro.query.pipeline`) when the engine has
-        seen cold loads block long enough for overlap to pay, and
-        otherwise the ordered load → score → drop loop on this thread
-        (also the ``adaptive_nprobe_margin`` path). Fully warm scans
-        keep the two-phase path:
-
-        1. **Load** — every probe is a cache hit, so this is a list of
-           references, not of copies.
-        2. **Distance + heap** — the decoded matrices are sharded
-           across the worker pool, one bounded heap per worker, merged
-           afterwards. numpy's kernels release the GIL, so this phase
-           parallelizes for real once partitions are large enough; for
-           small ones it runs inline to skip pool overhead.
+        A warm probe set (every entry handed over under one cache lock
+        by :meth:`StorageEngine.resident_entries`) is masked, scored
+        and cut once (:meth:`_score_cut`). A cache miss sends the scan
+        through a loop folding one partition at a time into
+        :class:`~repro.query.heap.TopKHeap` accumulators: the I/O–compute
+        pipeline while cold loads are seen to block, otherwise the
+        ordered loop on this thread — also the ``adaptive_nprobe_margin``
+        path, whose admission check needs the running K-th distance.
         """
-        cold = has_cold_partition(
-            self._engine, (pid for pid, _ in partitions), False
-        )
+        pids = [pid for pid, _ in partitions]
+        adaptive = self._config.adaptive_nprobe_margin is not None
+        io_start = time.perf_counter()
+        entries = None if adaptive else self._engine.resident_entries(pids)
+        if entries is not None:
+            # Masking is CPU work, charged to the compute window as the
+            # pipelined path charges it.
+            compute_start = time.perf_counter()
+            work: list[_Work] = []
+            scanned = filtered = 0
+            for entry in entries:
+                scanned += len(entry)
+                rows, matrix, dropped = _masked(entry, row_filter)
+                filtered += dropped
+                if len(matrix):
+                    work.append((entry.asset_ids, rows, matrix))
+            merged = self._score_cut(work, query, k)
+            return merged, _ScanOutcome(
+                vectors_scanned=scanned,
+                distance_computations=sum(len(m) for _, _, m in work),
+                rows_filtered=filtered,
+                io_time_s=compute_start - io_start,
+                compute_time_s=time.perf_counter() - compute_start,
+            )
+        cold = not adaptive or has_cold_partition(self._engine, pids, False)
         split = self._pipeline_split(partitions) if cold else None
         if split is not None:
-            return self._scan_partitions_pipelined(
+            heaps, outcome = self._scan_partitions_pipelined(
                 partitions, query, k, row_filter, split
             )
-        if cold or self._config.adaptive_nprobe_margin is not None:
-            return self._scan_ordered(
+        else:
+            heaps, outcome = self._scan_ordered(
                 partitions, query, k, row_filter, None, cold
             )
-        # The io window covers loads only; masking is CPU work and is
-        # charged to the compute window, matching how the pipelined
-        # path attributes it (masking happens inside score()).
-        io_start = time.perf_counter()
-        entries = [
-            entry
-            for pid, _ in partitions
-            if len(entry := self._engine.load_partition(pid))
-        ]
-        io_time = time.perf_counter() - io_start
+        return merge_topk(heaps, k), outcome
 
-        compute_start = time.perf_counter()
-        work: list[_Work] = []
-        scanned = filtered = 0
-        for entry in entries:
-            scanned += len(entry)
-            rows, matrix, dropped = _masked(entry, row_filter)
-            filtered += dropped
-            if len(matrix):
-                work.append((entry.asset_ids, rows, matrix))
-        computed = sum(len(matrix) for _, _, matrix in work)
-        heaps = self._fan_out(
-            work, lambda shard: self._scan_work(shard, query, k)
-        )
-        outcome = _ScanOutcome(
-            vectors_scanned=scanned,
-            distance_computations=computed,
-            rows_filtered=filtered,
-            io_time_s=io_time,
-            compute_time_s=time.perf_counter() - compute_start,
-        )
-        return heaps, outcome
+    def _score_cut(
+        self, work: list[_Work], query: np.ndarray, k: int
+    ) -> tuple[list[str], np.ndarray]:
+        """Score every matrix of ``work`` into one distance array and
+        cut it once (:func:`~repro.query.heap.rank_scored`). Above
+        ``_PARALLEL_SCAN_ELEMENTS`` the worker pool fills each matrix's
+        slice of that array; the kernel is row-stable, so the values
+        are the ones the inline pass computes."""
+        matrices = [matrix for _, _, matrix in work]
+        starts = np.cumsum([0, *map(len, matrices)])
+        dist = np.empty(int(starts[-1]), dtype=np.float32)
+        metric = self._config.metric
+        if (
+            self._config.device.worker_threads < 2
+            or len(matrices) < 2
+            or dist.size * query.size < _PARALLEL_SCAN_ELEMENTS
+        ):
+            distances_into(query, matrices, metric, dist)
+        else:
+
+            def fill(matrix: np.ndarray, out: np.ndarray) -> None:
+                distances_into(query, [matrix], metric, out)
+
+            slices = [dist[lo:hi] for lo, hi in zip(starts, starts[1:])]
+            list(self._worker_pool().map(fill, matrices, slices))
+        ids = [asset_ids for asset_ids, _, _ in work]
+        kept = [rows for _, rows, _ in work]
+        return rank_scored(dist, starts[:-1], ids, k, kept)
 
     def _scan_partitions_pipelined(
         self,
@@ -1023,7 +1029,7 @@ class QueryExecutor:
     # Quantized (sq8) scan path
     # ------------------------------------------------------------------
 
-    def _scan_quantizer(self) -> Quantizer | None:
+    def scan_quantizer(self) -> Quantizer | None:
         """The quantizer driving the fast scan, or None for float32.
 
         None either because quantization is off, or because no
@@ -1103,7 +1109,7 @@ class QueryExecutor:
         )
         exact_heap = self._scan_work(exact_work, query, k)
         compute_time = time.perf_counter() - compute_start
-        rerank_heap, reranked = self._rerank(
+        rerank_heap, reranked = self.rerank_candidates(
             merge_topk(approx_heaps, rerank_pool), query, k
         )
         outcome = _ScanOutcome(
@@ -1134,8 +1140,8 @@ class QueryExecutor:
         and all the loads share one read snapshot — one database state
         and one transaction per query. In a scan large enough for the
         worker pool (``_PARALLEL_SCAN_ELEMENTS``) the probes that hit
-        the cache are scored after the loop, fanned out like a warm
-        scan's.
+        the cache are scored after the loop, one accumulator per pool
+        worker.
 
         With ``adaptive_nprobe_margin`` set it also terminates early:
         the probe set arrives in centroid-distance order, so the
@@ -1229,7 +1235,7 @@ class QueryExecutor:
             )
             compute_time += time.perf_counter() - start
         if quantized:
-            rerank_heap, reranked = self._rerank(
+            rerank_heap, reranked = self.rerank_candidates(
                 merge_topk(approx_heaps, rerank_pool), query, k
             )
             heaps = [rerank_heap, *heaps]
@@ -1332,7 +1338,7 @@ class QueryExecutor:
             admit=admit,
         )
         states = outcome.states
-        rerank_heap, reranked = self._rerank(
+        rerank_heap, reranked = self.rerank_candidates(
             merge_topk([s.approx for s in states], rerank_pool), query, k
         )
         heaps = [rerank_heap] + [s.exact for s in states]
@@ -1364,7 +1370,7 @@ class QueryExecutor:
             push_topk(heap, ids, scorer(codes), capacity, rows)
         return heap
 
-    def _rerank(
+    def rerank_candidates(
         self, candidates, query: np.ndarray, k: int
     ) -> tuple[TopKHeap, int]:
         """Re-score approximate candidates against float32 vectors.
@@ -1378,15 +1384,6 @@ class QueryExecutor:
             return TopKHeap(k), 0
         found, matrix = self._engine.fetch_vectors_by_asset_ids(asset_ids)
         return self._scan_work([(found, None, matrix)], query, k), len(found)
-
-    def _finalize(
-        self, heaps: list[TopKHeap], k: int
-    ) -> tuple[Neighbor, ...]:
-        """Accumulator merge (asset-id strings are resolved here, for
-        the K survivors only) + canonical surfaced ordering."""
-        return surfaced_neighbors(
-            merge_topk(heaps, k), self._config.metric
-        )
 
 
 def _check_k(k: int) -> None:

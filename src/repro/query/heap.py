@@ -1,21 +1,30 @@
-"""Array-native bounded top-K accumulators and their merge (paper §3.3).
+"""Top-K selection over scored partitions, and surfacing (paper §3.3).
 
-Each worker scanning partitions owns a :class:`TopKHeap`. It is not a
-heap of objects: a scanned partition is folded in as one *chunk* — a
-reference to the partition's asset-id sequence, an owned distance array
-and the row positions those distances belong to — with a constant
-number of NumPy calls (:func:`push_topk`). Rows that can no longer reach
-the top K are pruned against the running K-th distance, and the chunks
-are compacted with ``np.partition`` once they hold more than a fixed
-multiple of K rows, so an accumulator retains O(K + one partition) rows.
+A warm scan ends in one cut. Every cache-resident partition of the
+probe set is scored into one float32 distance array, and
+:func:`rank_scored` cuts that array to the K best once. Only then are
+the survivors' slots mapped back to their partitions (a
+``searchsorted`` over the entries' start offsets) and their asset-id
+strings read: the scan itself handles integer positions only.
 
-Asset-id strings are payload, not index: nothing on the scan path reads
-them. :func:`merge_topk` cuts the concatenated distances down to the K
-best (plus ties) first and resolves id strings only for those survivors,
-where it applies the ordering contract of the library — rank by
-``(distance, asset_id)``, duplicate ids keep their closest occurrence.
-:func:`surfaced_neighbors` then converts the survivors to user-facing
-distances in one vectorised pass.
+Loops that see partitions one at a time — cold and pipelined scans,
+quantized scans, the batch executor, the serving scheduler — fold each
+one into a :class:`TopKHeap` instead. It is not a heap of objects: a
+partition is retained as one *chunk* — a reference to its asset-id
+sequence, an owned distance array and the row positions those
+distances belong to — by a constant number of NumPy calls
+(:func:`push_topk`). Rows that can no longer reach the top K are pruned
+against the running K-th distance, and the chunks are compacted with
+``np.partition`` once they hold more than a fixed multiple of K rows,
+so an accumulator retains O(K + one partition) rows.
+:func:`merge_topk` concatenates the chunks of every accumulator and
+makes the same cut.
+
+Both cuts apply the library's ordering contract in one place
+(:func:`_cut`): rank by ``(distance, asset_id)``, duplicate ids keep
+their closest occurrence, and ids are read for the cut's survivors
+only. :func:`surfaced_neighbors` then converts the survivors to
+user-facing distances in one vectorised pass.
 
 Distances keep the dtype they arrive in: float32 from the scan kernels,
 float64 in the sharded gather merge (which ranks surfaced distances).
@@ -23,7 +32,7 @@ float64 in the sharded gather merge (which ranks surfaced distances).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -152,38 +161,25 @@ def push_topk(
         heap._fold(asset_ids, dist, rows)
 
 
-def merge_topk(
-    heaps: list[TopKHeap], k: int
+def _cut(
+    dist: np.ndarray, k: int, ids_at: Callable[[np.ndarray], list[str]]
 ) -> tuple[list[str], np.ndarray]:
-    """Merge accumulators into the global top-K, closest first.
+    """The K best of ``dist``, closest first, as ``(asset_ids,
+    distances)``.
 
-    Returns ``(asset_ids, distances)`` ranked by ``(distance,
-    asset_id)``, duplicate ids keeping their closest occurrence (an
-    asset can be seen both in its partition and in the delta during a
-    concurrent flush). Id strings are read only for the rows that
-    survive the distance cut; the cut widens when de-duplication leaves
-    fewer than K while rows remain.
+    ``ids_at`` maps positions in ``dist`` to their asset ids; it is
+    called for the rows that survive the distance cut only. Ranked by
+    ``(distance, asset_id)``, duplicate ids keeping their closest
+    occurrence (an asset can be seen both in its partition and in the
+    delta during a concurrent flush); the cut widens when
+    de-duplication leaves fewer than K while rows remain.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    chunks = [chunk for heap in heaps for chunk in heap._chunks]
-    if not chunks:
-        return [], np.empty(0, dtype=np.float32)
-    sequences = [ids for ids, _, _ in chunks]
-    dist = np.concatenate([d for _, d, _ in chunks])
-    rows = np.concatenate([r for _, _, r in chunks])
-    source = np.repeat(
-        np.arange(len(chunks)), [len(d) for _, d, _ in chunks]
-    )
     take = k
     while True:
         cut = _smallest(dist, take)
         cut = cut[np.argsort(dist[cut], kind="stable")]
         ranked = dist[cut]
-        asset_ids = [
-            sequences[chunk][row]
-            for chunk, row in zip(source[cut].tolist(), rows[cut].tolist())
-        ]
+        asset_ids = ids_at(cut)
         if (ranked[1:] == ranked[:-1]).any() or len(set(asset_ids)) < len(
             asset_ids
         ):
@@ -199,11 +195,82 @@ def merge_topk(
         take = cut.shape[0] + k - len(asset_ids)
 
 
+def rank_scored(
+    dist: np.ndarray,
+    starts: np.ndarray,
+    asset_ids: Sequence[Sequence[str]],
+    k: int,
+    rows: Sequence[np.ndarray | None] | None = None,
+) -> tuple[list[str], np.ndarray]:
+    """One cut over a whole probe set scored into one array.
+
+    Slots ``starts[i]`` up to ``starts[i + 1]`` of ``dist`` (or its
+    end) belong to ``asset_ids[i]``: the ``j``-th of them is row ``j``
+    of it, or row ``rows[i][j]`` when ``rows[i]`` (the positions a
+    filter kept) is given. Returns what :func:`merge_topk` returns for
+    the same rows folded through accumulators.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    row_of = None
+    if rows is not None and any(kept is not None for kept in rows):
+        ends = [*starts[1:].tolist(), dist.shape[0]]
+        row_of = np.concatenate(
+            [
+                np.arange(end - start) if kept is None else kept
+                for kept, start, end in zip(rows, starts.tolist(), ends)
+            ]
+        )
+
+    def ids_at(cut: np.ndarray) -> list[str]:
+        which = np.searchsorted(starts, cut, side="right") - 1
+        pos = cut - starts[which] if row_of is None else row_of[cut]
+        return [
+            asset_ids[i][p] for i, p in zip(which.tolist(), pos.tolist())
+        ]
+
+    return _cut(dist, k, ids_at)
+
+
+def merge_topk(
+    heaps: list[TopKHeap], k: int
+) -> tuple[list[str], np.ndarray]:
+    """Merge accumulators into the global top-K, closest first, by
+    :func:`_cut`'s ordering contract."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    chunks = [chunk for heap in heaps for chunk in heap._chunks]
+    if not chunks:
+        return [], np.empty(0, dtype=np.float32)
+    sequences = [ids for ids, _, _ in chunks]
+    rows = np.concatenate([r for _, _, r in chunks])
+    source = np.repeat(
+        np.arange(len(chunks)), [len(d) for _, d, _ in chunks]
+    )
+
+    def ids_at(cut: np.ndarray) -> list[str]:
+        return [
+            sequences[chunk][row]
+            for chunk, row in zip(source[cut].tolist(), rows[cut].tolist())
+        ]
+
+    return _cut(np.concatenate([d for _, d, _ in chunks]), k, ids_at)
+
+
+def neighbors(
+    asset_ids: Sequence[str], distances: Sequence[float]
+) -> tuple[Neighbor, ...]:
+    """``Neighbor`` tuples, built without the per-item constructor."""
+    new = tuple.__new__
+    return tuple([new(Neighbor, pair) for pair in zip(asset_ids, distances)])
+
+
 def surfaced_neighbors(
     merged: tuple[list[str], np.ndarray], metric: str
 ) -> tuple[Neighbor, ...]:
-    """Convert :func:`merge_topk` output to surfaced, canonically
-    ordered :class:`~repro.core.types.Neighbor` tuples.
+    """Convert :func:`merge_topk` (or :func:`rank_scored`) output to
+    surfaced, canonically ordered :class:`~repro.core.types.Neighbor`
+    tuples.
 
     The input is ordered by *internal* distance (squared L2); surfacing
     applies ``sqrt`` — in float64, element-wise what
@@ -227,4 +294,4 @@ def surfaced_neighbors(
     distances = surfaced.tolist()
     if (surfaced[1:] == surfaced[:-1]).any():
         distances, asset_ids = zip(*sorted(zip(distances, asset_ids)))
-    return tuple(map(Neighbor, asset_ids, distances))
+    return neighbors(asset_ids, distances)

@@ -50,7 +50,7 @@ from repro.core.types import (
     QueryStats,
     SearchResult,
 )
-from repro.query.heap import TopKHeap, merge_topk, push_topk
+from repro.query.heap import TopKHeap, merge_topk, neighbors, push_topk
 
 #: Severity order of maintenance actions; aggregation and the
 #: facade's ``recommended_action`` both report the heaviest.
@@ -91,15 +91,15 @@ def merge_neighbors(
     accumulator is sized to the input: nothing is cut before
     :func:`merge_topk` has de-duplicated.
     """
-    heap = TopKHeap(max(1, sum(len(neighbors) for neighbors in per_shard)))
-    for neighbors in per_shard:
+    heap = TopKHeap(max(1, sum(len(hits) for hits in per_shard)))
+    for hits in per_shard:
         push_topk(
             heap,
-            [n.asset_id for n in neighbors],
-            [n.distance for n in neighbors],
+            [n.asset_id for n in hits],
+            [n.distance for n in hits],
         )
     asset_ids, distances = merge_topk([heap], k)
-    return tuple(map(Neighbor, asset_ids, distances.tolist()))
+    return neighbors(asset_ids, distances.tolist())
 
 
 def merge_search_results(

@@ -1452,7 +1452,8 @@ class ShardedMicroNN:
         per shard — its scan mode, row count, cumulative bytes read
         and quarantine state — plus, when ``filters`` is given, each
         shard's own optimizer decision (shards estimate selectivity
-        from their own statistics, so plans can legitimately differ).
+        from their own statistics, so plans can legitimately differ)
+        and how that plan evaluates the filter.
         Nothing is executed.
         """
         self._check_open()
@@ -1502,6 +1503,8 @@ class ShardedMicroNN:
                         "(estimated selectivity "
                         f"{decision.estimated_selectivity:.6f})"
                     )
+                    how = shard.filter_description(filters, decision)
+                    lines.append(f"    filter: {how}")
         return "\n".join(lines)
 
     def io(self) -> IOSnapshot:

@@ -244,6 +244,22 @@ class PartitionCache:
                 self._entries.move_to_end(partition_id)
             return entry
 
+    def get_all(
+        self, partition_ids: Sequence[int]
+    ) -> list[CachedPartition] | None:
+        """:meth:`get` of each id under one lock, or None at the first
+        id the cache does not hold."""
+        with self._lock:
+            entries = self._entries
+            found = []
+            for partition_id in partition_ids:
+                entry = entries.get(partition_id)
+                if entry is None:
+                    return None
+                entries.move_to_end(partition_id)
+                found.append(entry)
+            return found
+
     def put(
         self, entry: CachedPartition, generation: int | None = None
     ) -> bool:

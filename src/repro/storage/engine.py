@@ -1276,6 +1276,36 @@ class StorageEngine:
             self._vector_loads, partition_id, use_cache, use_scratch
         )
 
+    def resident_entries(
+        self, partition_ids: Sequence[int]
+    ) -> list[CachedPartition] | None:
+        """The cached float32 entries of a whole probe set, or None at
+        the first partition the cache misses (nothing is counted then).
+
+        One cache lock instead of one :meth:`load_partition` per probe,
+        with the same accounting: a quarantined partition is served
+        empty (left out of the list) and counted as such, every hit
+        counts as a cache hit, a hot load and a workload access.
+        Writers invalidate the entries they touch, so a partition
+        rewritten since it was cached is a miss here.
+        """
+        self._check_open()
+        with self._quarantine_lock:
+            quarantined = self._quarantined.intersection(partition_ids)
+        live = partition_ids
+        if quarantined:
+            live = [pid for pid in partition_ids if pid not in quarantined]
+        entries = self.cache.get_all(live)
+        if entries is None:
+            return None
+        for pid in quarantined:
+            self._accountant.record_quarantined()
+            self.workload.record_quarantine_hit(pid)
+        self._accountant.record_cache_hit(len(entries))
+        self._vector_loads.count_hot(len(entries))
+        self.workload.record_hot_accesses(live)
+        return entries
+
     def fetch_vectors_by_asset_ids(
         self, asset_ids: Sequence[str], chunk_size: int = 500
     ) -> tuple[list[str], np.ndarray]:

@@ -84,9 +84,9 @@ class IOAccountant:
         if cost > 0:
             time.sleep(cost)
 
-    def record_cache_hit(self) -> None:
+    def record_cache_hit(self, count: int = 1) -> None:
         with self._lock:
-            self._cache_hits += 1
+            self._cache_hits += count
 
     def record_cache_miss(self) -> None:
         with self._lock:

@@ -1,4 +1,6 @@
-"""Tests for the public result/stats dataclasses."""
+"""Tests for the public result and stats types."""
+
+import pickle
 
 import pytest
 
@@ -30,6 +32,30 @@ class TestNeighbor:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             Neighbor("x", 1.0).distance = 2.0
+
+    def test_hashable(self):
+        same = {Neighbor("x", 1.5), Neighbor("x", 1.5), Neighbor("y", 1.5)}
+        assert len(same) == 2
+        assert hash(Neighbor("x", 1.5)) == hash(("x", 1.5))
+
+    def test_pickle_round_trip(self):
+        original = Neighbor("x", 0.25)
+        restored = pickle.loads(pickle.dumps(original))
+        assert type(restored) is Neighbor
+        assert restored == original
+
+    def test_equality(self):
+        assert Neighbor("x", 1.5) == Neighbor("x", 1.5)
+        assert Neighbor("x", 1.5) != Neighbor("x", 2.5)
+        assert Neighbor("x", 1.5) != Neighbor("y", 1.5)
+        # A plain (asset_id, distance) tuple compares equal too.
+        assert Neighbor("x", 1.5) == ("x", 1.5)
+
+    def test_round_trip_through_search_result(self):
+        result = _result(3)
+        pairs = list(zip(result.asset_ids, result.distances))
+        assert tuple(Neighbor(*pair) for pair in pairs) == result.neighbors
+        assert [(n.asset_id, n.distance) for n in result] == pairs
 
 
 class TestSearchResult:

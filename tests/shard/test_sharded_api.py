@@ -20,7 +20,7 @@ from repro.core.errors import (
     FilterError,
 )
 from repro.core.types import MaintenanceAction
-from repro.query.filters import Eq
+from repro.query.filters import Eq, Ge, Match
 from repro.shard import HashRouter, ShardManifest
 
 
@@ -400,6 +400,40 @@ class TestSearchFanout:
             sharded.get_attributes(n.asset_id) == {"color": "red"}
             for n in result
         )
+
+    def test_explain_names_each_shards_filter(self, tmp_path, rng):
+        """Every shard's plan line is followed by the filter line its
+        own ``MicroNN.explain`` prints: columnar for a comparison, the
+        SQL fallback for ``Match``."""
+        config = MicroNNConfig(
+            dim=8,
+            target_cluster_size=10,
+            attributes={"bucket": "INTEGER", "tags": "TEXT"},
+            fts_attributes=("tags",),
+        )
+        with ShardedMicroNN.open(tmp_path / "f", config, shards=3) as db:
+            vecs = rng.normal(size=(90, 8)).astype(np.float32)
+            db.upsert_batch(
+                (f"a{i:04d}", vecs[i], {"bucket": i, "tags": "cat dog"})
+                for i in range(90)
+            )
+            db.build_index()
+            for predicate, how in [
+                (Ge("bucket", 0), "columnar(bucket)"),
+                (Match("tags", "cat"), "sql (Match)"),
+            ]:
+                lines = db.explain(predicate).splitlines()
+                shown = [
+                    line.split("filter: ", 1)[1]
+                    for line in lines
+                    if line.startswith("    filter: ")
+                ]
+                assert len(shown) == 3
+                for shard, text in zip(db.shards, shown):
+                    assert how in text
+                    assert f"filter:           {text}" in shard.explain(
+                        predicate
+                    )
 
     def test_search_batch_merges_per_query(self, sharded):
         sharded.build_index()
