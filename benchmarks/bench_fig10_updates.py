@@ -22,8 +22,6 @@ Shape expectations:
 - 10d: incremental row changes are a few percent of a full rebuild's.
 """
 
-import numpy as np
-
 from repro import MicroNN, MicroNNConfig
 from repro.core.types import MaintenanceAction
 from repro.bench.harness import populate, print_table

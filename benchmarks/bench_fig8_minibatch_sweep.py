@@ -13,8 +13,6 @@ Shape expectations from the paper:
   small-batch points.
 """
 
-import numpy as np
-
 from repro import MicroNN, MicroNNConfig
 from repro.bench.harness import fmt_mib, populate, print_table, tune_nprobe
 from repro.workloads.datasets import load_dataset

@@ -37,8 +37,6 @@ Run:  python examples/device_constrained.py
 
 import time
 
-import numpy as np
-
 from repro import DeviceProfile, IOCostModel, MicroNN, MicroNNConfig
 from repro.workloads.datasets import load_dataset
 from repro.workloads.groundtruth import compute_ground_truth

@@ -20,6 +20,7 @@ Two cooperating pieces:
 from __future__ import annotations
 
 import time
+from typing import Mapping
 
 import numpy as np
 
@@ -73,9 +74,11 @@ class IndexMonitor:
         self._engine = engine
         self._config = config
 
-    def stats(self) -> IndexStats:
-        """Current index shape, straight from the catalog tables."""
-        sizes = self._engine.partition_sizes(include_delta=False)
+    def stats(self, sizes: Mapping[int, int] | None = None) -> IndexStats:
+        """Current index shape, straight from the catalog tables
+        (``sizes``: the partition sizes, if the caller just read them)."""
+        if sizes is None:
+            sizes = self._engine.partition_sizes(include_delta=False)
         delta = self._engine.delta_size()
         num_partitions = self._engine.centroid_count()
         indexed = sum(sizes.values())
@@ -179,10 +182,11 @@ class IncrementalMaintainer:
         """
         engine = self._engine
         start = time.perf_counter()
-        stats_before = self._monitor.stats()
+        counts = engine.partition_sizes()
+        stats_before = self._monitor.stats(counts)
         rows_before = engine.accountant.rows_written
 
-        delta = self._delta.load(use_cache=False)
+        delta = self._delta.load()
         if len(delta) == 0:
             return MaintenanceReport(
                 action=MaintenanceAction.NONE,
@@ -204,10 +208,6 @@ class IncrementalMaintainer:
         dist = pairwise_distances(delta.matrix, centroids, metric)
         nearest = np.argmin(dist, axis=1)
 
-        counts = {
-            int(pid): int(count)
-            for pid, count in self._engine.partition_sizes().items()
-        }
         centroid_updates: dict[int, tuple[np.ndarray, int]] = {}
         moves: list[tuple[str, int]] = []
         working = {}

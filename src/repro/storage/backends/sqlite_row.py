@@ -87,19 +87,13 @@ class RowLayoutSQL(StorageBackend):
         asset_ids: Sequence[str],
         drop_codes: bool,
     ) -> int:
-        deleted = 0
-        for asset_id in asset_ids:
-            cur = conn.execute(
-                "DELETE FROM vectors WHERE asset_id=?", (asset_id,)
+        params = [(asset_id,) for asset_id in asset_ids]
+        cur = conn.executemany("DELETE FROM vectors WHERE asset_id=?", params)
+        if drop_codes:
+            conn.executemany(
+                "DELETE FROM vector_codes WHERE asset_id=?", params
             )
-            if cur.rowcount > 0:
-                deleted += cur.rowcount
-            if drop_codes:
-                conn.execute(
-                    "DELETE FROM vector_codes WHERE asset_id=?",
-                    (asset_id,),
-                )
-        return deleted
+        return max(cur.rowcount, 0)
 
     def insert_delta_rows(
         self,

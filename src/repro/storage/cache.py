@@ -9,22 +9,29 @@ The budget comes from the :class:`~repro.core.config.DeviceProfile`;
 evicting whole partitions keeps accounting exact and mirrors how the
 clustered layout makes partition reads sequential. Cold-start scenarios
 purge the cache (``clear``); warm-cache scenarios pre-populate it by
-running warm-up queries. Writers invalidate the partitions they touch so
-readers never see stale data.
+running warm-up queries. A committed write *patches* the entries it
+touches (:meth:`PartitionCache.patch`) — deleted and moved rows leave
+them, upserted and flushed rows join them — so each resident entry
+keeps holding exactly the rows a fresh load would, and a workload that
+keeps writing keeps its cache warm.
 
 A cached partition also carries the attribute columns of its rows
 (:class:`AttributeColumn`) once a filtered scan has asked for them: the
 hybrid post-filter plan masks a partition with one NumPy comparison
-over them instead of consulting SQL per query, and they are dropped by
-exactly the invalidations that drop the vectors beside them.
+over them instead of consulting SQL per query. A patch that removes
+rows slices the columns with the same mask; one that adds rows drops
+them, and the next filtered scan reads them again.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 from collections import OrderedDict
+from itertools import chain
+from operator import itemgetter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -138,14 +145,14 @@ class CachedPartition:
     has no per-row b-tree overhead), so consumers that estimate I/O
     (the serving scheduler's cost model) must prefer it over
     reconstructing bytes from ``nbytes``. ``None`` on entries built
-    away from a backend read (e.g. in-memory delta codes).
+    away from a backend read (in-memory delta codes, patched entries).
 
     ``columns`` holds the rows' attribute columns (name → column, in
     row order; None marks a column that could not be typed), filled
     the first time a filtered scan masks this entry and only through
     the owning cache's ``attach_columns``, which charges their bytes.
-    They live and die with the entry: whatever invalidates the vectors
-    invalidates the attributes read beside them.
+    They follow the entry's rows: a patch that removes rows slices
+    them, one that adds rows drops them.
     """
 
     partition_id: int
@@ -172,6 +179,102 @@ class CachedPartition:
         return len(self.asset_ids)
 
 
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _joined_tuple(pieces: list[tuple]) -> tuple:
+    return tuple(chain.from_iterable(pieces))
+
+
+def _positions(values: tuple, items: Collection[str]) -> list[int]:
+    """Ascending positions in ``values`` of those ``items`` it holds:
+    a binary search per item while they are few — an entry's rows are
+    in ascending ``asset_id`` order, the backends' contract — one
+    membership scan otherwise."""
+    if 8 * len(items) < len(values):
+        found = []
+        for item in items:
+            i = bisect.bisect_left(values, item)
+            if i < len(values) and values[i] == item:
+                found.append(i)
+        return sorted(found)
+    wanted = items if isinstance(items, (set, frozenset)) else set(items)
+    return [i for i, value in enumerate(values) if value in wanted]
+
+
+def _patched(
+    entry: CachedPartition,
+    gone: list[int],
+    rows: list[tuple[str, int, np.ndarray]],
+) -> CachedPartition:
+    """``entry`` less the rows at the positions ``gone``, plus ``rows``
+    — ``(asset_id, vector_id, one-row matrix)`` — in one copy.
+
+    The result keeps ``asset_id`` order, the order every backend reads
+    a partition in, so it is row for row what a fresh load returns. It
+    is joined from slices of the entry: the cost is the pieces, not
+    the rows. Attribute columns are cut alike when rows only leave;
+    rows that join drop them, and the next filtered scan reads them.
+    """
+    rows = sorted(rows, key=itemgetter(0))
+    # Removed rows as runs [start, stop): a flush emptying the delta
+    # is one cut, not one per row.
+    runs: list[list[int]] = []
+    for i in gone:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    # An insertion before a position (kind 0) sorts ahead of a run
+    # removed from there (kind 1): an overwritten row's successor takes
+    # its place.
+    events = sorted(
+        [
+            (bisect.bisect_left(entry.asset_ids, row[0]), 0, j)
+            for j, row in enumerate(rows)
+        ]
+        + [(start, 1, stop) for start, stop in runs]
+    )
+
+    def splice(values, items, join=np.concatenate):
+        pieces, start = [], 0
+        for position, removal, j in events:
+            pieces.append(values[start:position])
+            if removal:
+                start = j
+            else:
+                # Inside a removed run, ``start`` is already past it.
+                pieces.append(items[j])
+                start = max(start, position)
+        pieces.append(values[start:])
+        return join(pieces)
+
+    columns = {}
+    if not rows:
+        columns = {
+            name: None
+            if column is None
+            else AttributeColumn(
+                splice(column.values, ()),
+                None if column.valid is None else splice(column.valid, ()),
+            )
+            for name, column in entry.columns.items()
+        }
+    return CachedPartition(
+        partition_id=entry.partition_id,
+        asset_ids=splice(
+            entry.asset_ids, [(a,) for a, _, _ in rows], _joined_tuple
+        ),
+        vector_ids=splice(
+            entry.vector_ids, [(v,) for _, v, _ in rows], _joined_tuple
+        ),
+        matrix=_frozen(splice(entry.matrix, [m for _, _, m in rows])),
+        columns=columns,
+    )
+
+
 class PartitionCache:
     """Thread-safe LRU over :class:`CachedPartition` entries.
 
@@ -179,13 +282,13 @@ class PartitionCache:
     caller but never cached (otherwise a single mega-partition would
     evict everything and still not fit).
 
-    Every invalidation bumps a generation counter. A loader reads it
-    BEFORE pinning the database snapshot it loads from and hands it
-    back to :meth:`put`; a write that committed and invalidated in
-    between has moved the counter, so the pre-write entry is rejected
-    instead of re-cached behind the invalidation (the same guard as
-    :class:`DeltaCodesCache`). The counter is per cache, not per
-    partition: a load overlapping any write is simply not cached.
+    Every invalidation and every :meth:`patch` bumps a generation
+    counter. A loader reads it BEFORE pinning the database snapshot it
+    loads from and hands it back to :meth:`put`; a write that committed
+    and patched in between has moved the counter, so the pre-write
+    entry is rejected instead of re-cached behind the patch (the same
+    guard as :class:`DeltaCodesCache`). The counter is per cache, not
+    per partition: a load overlapping any write is simply not cached.
     """
 
     def __init__(
@@ -267,7 +370,8 @@ class PartitionCache:
 
         Returns ``True`` if the entry was cached, ``False`` if it was
         too large for the budget, or was loaded at a ``generation``
-        that an invalidation has since moved past, and was rejected.
+        that a write (or an invalidation) has since moved past, and
+        was rejected.
         """
         nbytes = entry.nbytes
         if nbytes > self._budget:
@@ -292,9 +396,9 @@ class PartitionCache:
         """Park attribute columns read at ``generation`` on ``entry``.
 
         The same guard as :meth:`put`: columns read from a snapshot
-        that an invalidation has since moved past may predate the
-        write, while ``entry`` may already be its post-write reload —
-        they serve the scan that read them and are not kept. While the
+        that a write has since moved past may predate the write, while
+        the cache may already hold ``entry`` patched — they serve the
+        scan that read them and are not kept. While the
         cache holds ``entry`` their bytes are charged to it, evicting
         LRU entries if that overruns the budget; an entry the cache
         does not hold (never admitted, evicted) dies with its scan.
@@ -311,14 +415,15 @@ class PartitionCache:
 
     def _evict_to_budget(self) -> None:
         # Caller holds self._lock. The LRU end never reaches an entry
-        # just put: it fits the budget alone.
+        # just put (it fits the budget alone); an entry a patch grew
+        # past the budget goes like any other.
         while self._used > self._budget and self._entries:
             _, evicted = self._entries.popitem(last=False)
             self._used -= evicted.nbytes
         self._sync_tracker()
 
     def invalidate(self, partition_id: int) -> None:
-        """Drop one partition (called by writers that touched it)."""
+        """Drop one partition (a quarantined one)."""
         with self._lock:
             self._generation += 1
             entry = self._entries.pop(partition_id, None)
@@ -326,19 +431,100 @@ class PartitionCache:
                 self._used -= entry.nbytes
                 self._sync_tracker()
 
-    def invalidate_containing(self, asset_ids: set[str]) -> None:
-        """Drop every partition holding any of ``asset_ids``.
+    def patch(
+        self,
+        asset_ids: set[str],
+        partitions: Iterable[int],
+        *,
+        moves: Mapping[str, int] | None = None,
+        fresh: CachedPartition | None = None,
+        drop: Iterable[int] = (),
+    ) -> None:
+        """Apply one committed write to the resident entries it touches,
+        under one lock, moving the generation as an invalidation does.
 
-        The generation moves even when no cached entry matches: the
-        partition that held a rewritten row may be mid-load from a
-        pre-write snapshot right now.
+        1. The cached entries of ``partitions`` — and of every partition
+           the write adds rows to — lose their rows of ``asset_ids``.
+        2. ``moves`` (asset id → destination partition) carries each
+           moved row from the entry step 1 took it out of into its
+           destination's entry. A destination gaining a row that no
+           cached entry held is dropped instead.
+        3. The rows of ``fresh`` join the entry of its partition.
+        4. The entries of ``drop`` are dropped.
+
+        Each entry is rebuilt once, whatever it loses and gains. Every
+        row added is one of ``asset_ids``, so the result does not
+        depend on whether an entry was loaded before the write
+        committed or after (a load may be cached in that window): either
+        way it ends up holding the post-write rows. Entries the cache
+        does not hold are left to load cold; the generation move keeps
+        a load from a pre-write snapshot from being cached after this.
         """
+        moves = moves or {}
+        holders = set(partitions)
+        # The rows each partition gains: moved in, or fresh.
+        moved_in: dict[int, list[str]] = {}
+        for asset_id, pid in moves.items():
+            moved_in.setdefault(pid, []).append(asset_id)
+        joining: dict[int, list[tuple[str, int, np.ndarray]]] = {}
+        if fresh is not None:
+            joining[fresh.partition_id] = [
+                (asset_id, vector_id, fresh.matrix[j : j + 1])
+                for j, (asset_id, vector_id) in enumerate(
+                    zip(fresh.asset_ids, fresh.vector_ids)
+                )
+            ]
+        touched = holders.union(moved_in, joining)
+        drop = list(drop)
         with self._lock:
             self._generation += 1
-            entries = list(self._entries.values())
-        for entry in entries:
-            if asset_ids.intersection(entry.asset_ids):
-                self.invalidate(entry.partition_id)
+            entries = self._entries
+            losses: dict[int, list[int]] = {}
+            # Moved rows by asset id: (vector id, one-row matrix).
+            carried: dict[str, tuple[int, np.ndarray]] = {}
+            for pid in touched:
+                entry = entries.get(pid)
+                if entry is None:
+                    continue
+                # An entry loaded after the commit holds a written row
+                # only where the write put it.
+                candidates = asset_ids
+                if pid not in holders:
+                    candidates = moved_in.get(pid, []) + [
+                        row[0] for row in joining.get(pid, [])
+                    ]
+                gone = _positions(entry.asset_ids, candidates)
+                if not gone:
+                    continue
+                losses[pid] = gone
+                if moves:
+                    for i in gone:
+                        carried[entry.asset_ids[i]] = (
+                            entry.vector_ids[i],
+                            entry.matrix[i : i + 1],
+                        )
+            for pid in touched:
+                entry = entries.get(pid)
+                if entry is None:
+                    continue
+                ids = moved_in.get(pid, [])
+                if not all(a in carried for a in ids):
+                    drop.append(pid)
+                    continue
+                rows = joining.get(pid, []) + [(a, *carried[a]) for a in ids]
+                if rows or pid in losses:
+                    self._replace(_patched(entry, losses.get(pid, []), rows))
+            for pid in drop:
+                entry = entries.pop(pid, None)
+                if entry is not None:
+                    self._used -= entry.nbytes
+            self._evict_to_budget()
+
+    def _replace(self, entry: CachedPartition) -> None:
+        # Caller holds self._lock; the entry keeps its LRU position.
+        old = self._entries[entry.partition_id]
+        self._entries[entry.partition_id] = entry
+        self._used += entry.nbytes - old.nbytes
 
     def clear(self) -> None:
         """Drop everything (cold-start scenario, or full rebuild)."""
@@ -430,18 +616,6 @@ class DeltaCodesCache:
             self._generation += 1
             self._entry = None
             self._sync_tracker()
-
-    def invalidate_containing(self, asset_ids: set[str]) -> None:
-        """Drop the codes if they hold any of ``asset_ids`` (a delete);
-        an encode in flight from a pre-write snapshot is rejected
-        either way."""
-        with self._lock:
-            self._generation += 1
-            if self._entry is not None and asset_ids.intersection(
-                self._entry.asset_ids
-            ):
-                self._entry = None
-                self._sync_tracker()
 
     def __len__(self) -> int:
         with self._lock:

@@ -156,6 +156,14 @@ class _PayloadKind:
     count_bytes: Callable[[float], None]
 
 
+class _ThreadState(threading.local):
+    """One thread's engine state: its reader connection, and the cache
+    generations noted when its read snapshot opened (None outside)."""
+
+    conn: sqlite3.Connection | None = None
+    cache_generations: dict | None = None
+
+
 @dataclass(frozen=True)
 class VectorRecord:
     """One asset to upsert: vector plus optional attribute values."""
@@ -226,7 +234,7 @@ class StorageEngine:
         )
         self._readers_lock = threading.Lock()
         self._reader_registry: list[sqlite3.Connection] = []
-        self._local = threading.local()
+        self._local = _ThreadState()
 
         self._writer = self._backend.connect_writer()
         # Refuse a database laid out by a different backend BEFORE any
@@ -504,7 +512,7 @@ class StorageEngine:
         self._check_open()
         if self._backend.shared_connection:
             return self._writer
-        conn = getattr(self._local, "conn", None)
+        conn = self._local.conn
         if conn is None:
             conn = self._backend.connect_reader()
             self._local.conn = conn
@@ -597,11 +605,16 @@ class StorageEngine:
         transaction.
 
         Opening (not joining) a snapshot first notes each cache's
-        invalidation generation for this thread. A load inside the
-        block hands that value to the cache's ``put``: a write that
-        committed and invalidated after the snapshot was pinned has
-        moved the generation, so the pre-write partition this snapshot
-        still reads is served to this scan but not cached for the next.
+        generation for this thread. A load inside the block hands that
+        value to the cache's ``put``: a write that committed and
+        patched the cache after the snapshot was pinned has moved the
+        generation, so the pre-write partition this snapshot still
+        reads is served to this scan but not cached for the next. For
+        the same reason a load inside the block takes nothing from a
+        cache whose generation has moved (:meth:`_serves_cache`): a
+        patched entry is newer than the snapshot, and a scan mixing it
+        with pre-write cold loads could see an overwritten row in
+        neither its old partition nor the delta.
 
         A shared-connection backend (memory) has no WAL snapshots:
         reads serialize behind the writer lock instead — the lock is
@@ -612,26 +625,41 @@ class StorageEngine:
         if self._backend.shared_connection:
             self._check_open()
             with self._writer_lock:
-                self._note_cache_generations()
-                yield self._writer
+                outer = self._note_cache_generations()
+                try:
+                    yield self._writer
+                finally:
+                    self._local.cache_generations = outer
             return
         conn = self._reader()
         if conn.in_transaction:
             yield conn
             return
-        self._note_cache_generations()
+        outer = self._note_cache_generations()
         conn.execute("BEGIN DEFERRED")
         try:
             yield conn
         finally:
+            self._local.cache_generations = outer
             with contextlib.suppress(sqlite3.Error):
                 conn.execute("COMMIT")
 
-    def _note_cache_generations(self) -> None:
+    def _note_cache_generations(self) -> dict | None:
+        """Note each cache's generation for this thread's snapshot;
+        returns what was noted before, for the snapshot's exit."""
+        outer = self._local.cache_generations
         self._local.cache_generations = {
             cache: cache.generation()
             for cache in (self.cache, self.codes_cache, self.delta_codes)
         }
+        return outer
+
+    def _serves_cache(self, cache: PartitionCache | DeltaCodesCache) -> bool:
+        """Whether a load on this thread may take entries from ``cache``:
+        always outside a read snapshot; inside one, only while no write
+        has patched the cache since the snapshot opened."""
+        noted = self._local.cache_generations
+        return noted is None or noted[cache] == cache.generation()
 
     @contextlib.contextmanager
     def _plain_reader(self) -> Iterator[sqlite3.Connection]:
@@ -738,64 +766,98 @@ class StorageEngine:
             return 0
         dim = self._config.dim
         attr_names = list(self._config.normalized_attributes)
-        with self.write_transaction("upsert") as conn:
-            first_id = self._allocate_vector_ids(len(records))
-            # Validate and encode everything first, then hand the
-            # backend one batched remove + insert. Duplicate asset ids
-            # within a batch resolve last-wins, matching the old
-            # per-record delete-then-insert loop.
-            staged: dict[str, tuple[VectorRecord, int, bytes]] = {}
-            for offset, record in enumerate(records):
-                self._validate_attributes(record.attributes)
-                blob = encode_vector(record.vector, dim)
-                staged[record.asset_id] = (
-                    record,
-                    first_id + offset,
-                    blob,
+        with self._writer_lock:
+            with self.write_transaction("upsert") as conn:
+                first_id = self._allocate_vector_ids(len(records))
+                # Validate and encode everything first, then hand the
+                # backend one batched remove + insert. Duplicate asset
+                # ids within a batch resolve last-wins, matching the
+                # old per-record delete-then-insert loop.
+                staged: dict[str, tuple[VectorRecord, int, bytes]] = {}
+                for offset, record in enumerate(records):
+                    self._validate_attributes(record.attributes)
+                    blob = encode_vector(record.vector, dim)
+                    staged[record.asset_id] = (
+                        record,
+                        first_id + offset,
+                        blob,
+                    )
+                ordered = list(staged.values())
+                batch_ids = list(staged)
+                # Replacing an indexed asset shrinks its old partition,
+                # so that partition's stored checksum must be
+                # restamped in the SAME transaction. Resolve the old
+                # homes before the rows move.
+                touched = self._backend.partitions_of(conn, batch_ids)
+                # Fresh vectors land in the full-precision delta; any
+                # stale vector row (wherever it lives) and code row
+                # must not survive them.
+                self._backend.remove_assets(
+                    conn,
+                    batch_ids,
+                    drop_codes=self._use_quantization,
                 )
-            ordered = list(staged.values())
-            batch_ids = [record.asset_id for record, _, _ in ordered]
-            # Replacing an indexed asset shrinks its old partition, so
-            # that partition's stored checksum must be restamped in the
-            # SAME transaction. Resolve the old homes before the rows
-            # move.
-            touched = self._backend.partitions_of(conn, batch_ids)
-            # Fresh vectors land in the full-precision delta; any
-            # stale vector row (wherever it lives) and code row must
-            # not survive them.
-            self._backend.remove_assets(
-                conn,
-                batch_ids,
-                drop_codes=self._use_quantization,
+                self._backend.insert_delta_rows(
+                    conn,
+                    [
+                        (record.asset_id, vector_id, blob)
+                        for record, vector_id, blob in ordered
+                    ],
+                )
+                self._delete_tokens(conn, batch_ids)
+                self._write_attributes(
+                    conn, [record for record, _, _ in ordered], attr_names
+                )
+                self._backend.refresh_checksums(
+                    conn, touched, self._use_quantization
+                )
+            fresh = CachedPartition(
+                partition_id=DELTA_PARTITION_ID,
+                asset_ids=tuple(batch_ids),
+                vector_ids=tuple(vector_id for _, vector_id, _ in ordered),
+                matrix=np.frombuffer(
+                    b"".join(blob for _, _, blob in ordered),
+                    dtype=VECTOR_DTYPE,
+                ).reshape(len(ordered), dim),
             )
-            self._backend.insert_delta_rows(
-                conn,
-                [
-                    (record.asset_id, vector_id, blob)
-                    for record, vector_id, blob in ordered
-                ],
-            )
-            for record, _, _ in ordered:
-                self._write_attributes(conn, record, attr_names)
-            self._backend.refresh_checksums(
-                conn, touched, self._use_quantization
-            )
-        self.cache.invalidate(DELTA_PARTITION_ID)
-        if self._use_quantization:
-            # The fresh vectors are in the delta; cached delta codes
-            # predate them and must not serve another scan.
-            self.delta_codes.invalidate()
-        self._invalidate_assets({r.asset_id for r in records})
+            self._patch_caches(set(batch_ids), touched, fresh=fresh)
         return len(records)
 
-    def _invalidate_assets(self, touched: set[str]) -> None:
-        """Drop cached partitions (and code partitions) holding any of
-        the assets. Called after the commit, when the rows have already
-        moved and their prior partition is no longer known."""
-        self.cache.invalidate_containing(touched)
-        if self._use_quantization:
-            self.codes_cache.invalidate_containing(touched)
-            self.delta_codes.invalidate_containing(touched)
+    def _patch_caches(
+        self,
+        asset_ids: set[str],
+        partitions: set[int],
+        moves: Mapping[str, int] | None = None,
+        fresh: CachedPartition | None = None,
+    ) -> None:
+        """Apply a committed write to the caches (see
+        :meth:`PartitionCache.patch`): ``asset_ids`` leave the entries
+        of ``partitions``, ``moves`` carry rows to their destinations,
+        ``fresh`` rows join the delta.
+
+        Runs after the commit and before the writer lock is released,
+        so patches apply in commit order. Code entries never gain rows:
+        the destinations of moved rows are dropped and load cold. The
+        entries that gain rows change before those that lose them, so
+        a scan taking entries from both caches between the two patches
+        may see a row twice (the cut keeps one copy) but never miss
+        it — on an upsert the float delta goes first, on a move the
+        code entries do. The delta codes are encoded from the float
+        delta, so they are dropped after it is patched: an encode that
+        read the delta before the patch is then not cached.
+        """
+        codes = self._use_quantization
+        if codes and moves:
+            self.codes_cache.patch(
+                asset_ids, partitions, drop=set(moves.values())
+            )
+        self.cache.patch(asset_ids, partitions, moves=moves, fresh=fresh)
+        if codes and (
+            moves or fresh is not None or DELTA_PARTITION_ID in partitions
+        ):
+            self.delta_codes.invalidate()
+        if codes and not moves:
+            self.codes_cache.patch(asset_ids, partitions)
 
     def _validate_attributes(self, attributes: Mapping[str, object]) -> None:
         declared = self._config.normalized_attributes
@@ -806,29 +868,34 @@ class StorageEngine:
     def _write_attributes(
         self,
         conn: sqlite3.Connection,
-        record: VectorRecord,
+        records: Sequence[VectorRecord],
         attr_names: list[str],
     ) -> None:
-        conn.execute(
-            "DELETE FROM attributes WHERE asset_id=?", (record.asset_id,)
-        )
-        self._delete_tokens(conn, record.asset_id)
+        """Replace the attribute rows of records with distinct asset ids
+        and write their tokens (the caller deleted their old tokens).
+        One ``INSERT OR REPLACE`` per row, all in one call."""
         if not attr_names:
             # No declared schema: nothing beyond the vector row.
+            conn.executemany(
+                "DELETE FROM attributes WHERE asset_id=?",
+                [(record.asset_id,) for record in records],
+            )
             return
         columns = ["asset_id"] + [
             schema_mod._quote_ident(n) for n in attr_names
         ]
         placeholders = ", ".join("?" for _ in columns)
-        values = [record.asset_id] + [
-            record.attributes.get(n) for n in attr_names
-        ]
-        conn.execute(
-            f"INSERT INTO attributes ({', '.join(columns)}) "
+        conn.executemany(
+            f"INSERT OR REPLACE INTO attributes ({', '.join(columns)}) "
             f"VALUES ({placeholders})",
-            values,
+            [
+                [record.asset_id]
+                + [record.attributes.get(n) for n in attr_names]
+                for record in records
+            ],
         )
-        self._write_tokens(conn, record)
+        for record in records:
+            self._write_tokens(conn, record)
 
     def _write_tokens(
         self, conn: sqlite3.Connection, record: VectorRecord
@@ -864,11 +931,14 @@ class StorageEngine:
                 [record.asset_id, *fts_values],
             )
 
-    def _delete_tokens(self, conn: sqlite3.Connection, asset_id: str) -> None:
-        conn.execute("DELETE FROM tokens WHERE asset_id=?", (asset_id,))
+    def _delete_tokens(
+        self, conn: sqlite3.Connection, asset_ids: Sequence[str]
+    ) -> None:
+        params = [(asset_id,) for asset_id in asset_ids]
+        conn.executemany("DELETE FROM tokens WHERE asset_id=?", params)
         if self._use_fts5:
-            conn.execute(
-                "DELETE FROM attributes_fts WHERE asset_id=?", (asset_id,)
+            conn.executemany(
+                "DELETE FROM attributes_fts WHERE asset_id=?", params
             )
 
     def delete_assets(self, asset_ids: Iterable[str]) -> int:
@@ -877,21 +947,21 @@ class StorageEngine:
         ids = list(asset_ids)
         if not ids:
             return 0
-        with self.write_transaction("delete") as conn:
-            touched_pids = self._backend.partitions_of(conn, ids)
-            deleted = self._backend.remove_assets(
-                conn, ids, drop_codes=self._use_quantization
-            )
-            for asset_id in ids:
-                conn.execute(
-                    "DELETE FROM attributes WHERE asset_id=?", (asset_id,)
+        with self._writer_lock:
+            with self.write_transaction("delete") as conn:
+                touched = self._backend.partitions_of(conn, ids)
+                deleted = self._backend.remove_assets(
+                    conn, ids, drop_codes=self._use_quantization
                 )
-                self._delete_tokens(conn, asset_id)
-            self._backend.refresh_checksums(
-                conn, touched_pids, self._use_quantization
-            )
-        # Deleted rows may be cached inside any partition entry.
-        self._invalidate_assets(set(ids))
+                conn.executemany(
+                    "DELETE FROM attributes WHERE asset_id=?",
+                    [(asset_id,) for asset_id in ids],
+                )
+                self._delete_tokens(conn, ids)
+                self._backend.refresh_checksums(
+                    conn, touched, self._use_quantization
+                )
+            self._patch_caches(set(ids), touched)
         return deleted
 
     # ------------------------------------------------------------------
@@ -960,27 +1030,23 @@ class StorageEngine:
             return 0
         if code_rows and not self._use_quantization:
             raise StorageError("quantization is not enabled for this database")
-        with self.write_transaction("assign") as conn:
-            # Both sides of every move need a fresh checksum: the
-            # source partition the row leaves and the destination it
-            # lands in.
-            touched = self._backend.partitions_of(
-                conn, [asset_id for asset_id, _ in moves]
-            )
-            touched.update(pid for _, pid in moves)
-            if code_rows:
-                touched.update(pid for pid, _, _, _ in code_rows)
-            self._backend.apply_assignments(
-                conn, moves, code_rows, self._use_quantization
-            )
-            self._backend.refresh_checksums(
-                conn, touched, self._use_quantization
-            )
-        self.cache.clear()
-        self.codes_cache.clear()
-        # A flush moves rows OUT of the delta; cached delta codes
-        # would resurrect them in their old location.
-        self.delta_codes.invalidate()
+        destination = dict(moves)
+        with self._writer_lock:
+            with self.write_transaction("assign") as conn:
+                # Both sides of every move need a fresh checksum: the
+                # source partition the row leaves and the destination
+                # it lands in.
+                sources = self._backend.partitions_of(conn, list(destination))
+                touched = sources | set(destination.values())
+                if code_rows:
+                    touched.update(pid for pid, _, _, _ in code_rows)
+                self._backend.apply_assignments(
+                    conn, moves, code_rows, self._use_quantization
+                )
+                self._backend.refresh_checksums(
+                    conn, touched, self._use_quantization
+                )
+            self._patch_caches(set(destination), sources, moves=destination)
         return len(moves)
 
     # ------------------------------------------------------------------
@@ -1173,7 +1239,11 @@ class StorageEngine:
             self.workload.record_quarantine_hit(partition_id)
             return self._empty_entry(partition_id, kind.dtype)
         if use_cache:
-            cached = kind.cache.get(partition_id)
+            cached = (
+                kind.cache.get(partition_id)
+                if self._serves_cache(kind.cache)
+                else None
+            )
             if cached is not None:
                 self._accountant.record_cache_hit()
                 kind.count_hot()
@@ -1286,10 +1356,12 @@ class StorageEngine:
         with the same accounting: a quarantined partition is served
         empty (left out of the list) and counted as such, every hit
         counts as a cache hit, a hot load and a workload access.
-        Writers invalidate the entries they touch, so a partition
-        rewritten since it was cached is a miss here.
+        Writers patch the entries they touch under the same lock, so
+        the probe set is one committed state of every partition in it.
         """
         self._check_open()
+        if not self._serves_cache(self.cache):
+            return None
         with self._quarantine_lock:
             quarantined = self._quarantined.intersection(partition_ids)
         live = partition_ids
@@ -1591,7 +1663,11 @@ class StorageEngine:
         threshold = self._config.delta_quantize_threshold
         if threshold is None:
             return None
-        cached = self.delta_codes.get()
+        cached = (
+            self.delta_codes.get()
+            if self._serves_cache(self.delta_codes)
+            else None
+        )
         if cached is not None:
             self._accountant.record_cache_hit()
             return cached
@@ -1716,7 +1792,7 @@ class StorageEngine:
         aligned to the entry's rows (an asset with no attributes row
         is NULL throughout) and parked on the entry through the cache
         that owns it, under the snapshot's cache generation: columns
-        from a snapshot a write has since invalidated serve this scan
+        from a snapshot a write has since overtaken serve this scan
         only, like a partition loaded from one. A transient scratch
         entry is never cached, so its columns are read per scan.
         """

@@ -6,7 +6,6 @@ with exhaustive probing both systems return identical results, while
 their memory profiles differ by construction.
 """
 
-import numpy as np
 import pytest
 
 from repro import MicroNN, MicroNNConfig

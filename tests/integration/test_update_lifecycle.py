@@ -6,7 +6,6 @@ the full-rebuild ideal, incremental flushes cost a fraction of the
 rebuild I/O, and growth eventually triggers a full rebuild.
 """
 
-import numpy as np
 import pytest
 
 from repro import MicroNN, MicroNNConfig

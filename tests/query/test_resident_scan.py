@@ -4,8 +4,8 @@ A query whose probes are all cached takes them from the engine in one
 call (``StorageEngine.resident_entries``) instead of one
 ``load_partition`` per probe. It must leave every counter exactly where
 the per-probe loads leave it — query stats, the hot-load counter, the
-workload heatmap — serve a quarantined probe as empty, and miss on an
-entry a write has invalidated.
+workload heatmap — serve a quarantined probe as empty, and serve an
+entry a write has patched as the rows a fresh load returns.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import MicroNN, MicroNNConfig
+from repro.storage.cache import CachedPartition
 
 K = 10
 NPROBE = 4
@@ -125,7 +126,7 @@ class TestResidentAccounting:
         assert stats_of(one_lock[0]) == stats_of(loads[0])
         assert one_lock[1:] == loads[1:]
 
-    def test_write_drops_the_stale_entry(self, warm_db):
+    def test_write_patches_the_resident_entry(self, warm_db, monkeypatch):
         db, vectors = warm_db
         engine = db.engine
         query = vectors[7]
@@ -137,14 +138,66 @@ class TestResidentAccounting:
             if pid >= 0 and "a0007" in engine.cache.get(pid).asset_ids
         )
         # Move a0007 far away: its partition and the delta are rewritten.
-        db.upsert("a0007", vectors[7] + 100.0)
-        assert owner not in engine.cache
-        assert engine.resident_entries(pids) is None
+        moved = vectors[7] + 100.0
+        db.upsert("a0007", moved)
+        entry = engine.cache.get(owner)
+        assert entry is not None and "a0007" not in entry.asset_ids
+        delta = engine.cache.get(-1)
+        row = delta.asset_ids.index("a0007")
+        assert delta.matrix[row].tobytes() == moved.tobytes()
+        for patched in (entry, delta):
+            fresh = engine.load_partition(patched.partition_id, False)
+            assert patched.asset_ids == fresh.asset_ids
+            assert patched.vector_ids == fresh.vector_ids
+            assert patched.matrix.tobytes() == fresh.matrix.tobytes()
+            assert not patched.matrix.flags.writeable
+        calls = []
+        resident = engine.resident_entries
+        monkeypatch.setattr(
+            engine,
+            "resident_entries",
+            lambda pids: calls.append(r := resident(pids)) or r,
+        )
         result = db.search(query, k=K, nprobe=10**6)
-        assert result.stats.cache_misses >= 1
+        assert calls[-1] is not None  # the one-cut warm path ran
+        assert result.stats.cache_misses == 0
         assert "a0007" not in result.asset_ids
         assert result.neighbors == db.search(query, k=K, exact=True).neighbors
-        # Reloaded and cached again: the next search is all hits.
-        again = db.search(query, k=K, nprobe=10**6)
-        assert again.stats.cache_misses == 0
-        assert again.neighbors == result.neighbors
+        assert db.search(moved, k=1, nprobe=10**6).asset_ids == ("a0007",)
+
+    def test_an_id_in_a_partition_and_the_delta_leaves_k_distinct(
+        self, warm_db, monkeypatch
+    ):
+        """The one cut ranks every row and keeps each id once, so an id
+        resident in both a partition and the delta still leaves K
+        distinct neighbours. (A capacity-K accumulator ranks rows: when
+        it compacts, the two copies can take two of its K slots and
+        prune the K-th distinct id. This pins the one-cut behaviour
+        against being matched to that.)
+        """
+        db, vectors = warm_db
+        engine = db.engine
+        query = vectors[7]
+        delta = engine.cache.get(-1)
+        assert engine.cache.put(
+            CachedPartition(
+                partition_id=-1,
+                asset_ids=delta.asset_ids + ("a0007",),
+                vector_ids=delta.vector_ids + (10**6,),
+                matrix=np.vstack([delta.matrix, query]),
+            )
+        )
+        calls = []
+        resident = engine.resident_entries
+        monkeypatch.setattr(
+            engine,
+            "resident_entries",
+            lambda pids: calls.append(r := resident(pids)) or r,
+        )
+        result = db.search(query, k=K, nprobe=10**6)
+        assert calls[-1] is not None  # the one-cut warm path ran
+        copies = [e for e in calls[-1] if "a0007" in e.asset_ids]
+        assert len(copies) == 2
+        assert len(set(result.asset_ids)) == len(result) == K
+        assert result.asset_ids[0] == "a0007"
+        assert result.neighbors == db.search(query, k=K, exact=True).neighbors

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    MicroNN,
     MicroNNConfig,
     ShardConfig,
     ShardedMicroNN,

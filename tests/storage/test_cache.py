@@ -1,8 +1,14 @@
 """Partition cache (LRU, byte-budgeted) tests."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.storage.cache import CachedPartition, PartitionCache
+from repro.storage.cache import (
+    AttributeColumn,
+    CachedPartition,
+    PartitionCache,
+)
 from repro.storage.memory import MemoryTracker
 
 
@@ -141,3 +147,119 @@ class TestCachedPartition:
 
     def test_len(self):
         assert len(make_entry(1, rows=7)) == 7
+
+
+
+class TestPatch:
+    """``PartitionCache.patch`` against a dict model of the partitions:
+    every resident entry — loaded before the write committed or after
+    — ends up holding its partition's post-write rows in ``asset_id``
+    order, bit for bit; columns are sliced when an entry only loses
+    rows and dropped when it gains any."""
+
+    @staticmethod
+    def entry(pid, rows, columns=None):
+        ids = sorted(rows)
+        return CachedPartition(
+            partition_id=pid,
+            asset_ids=tuple(ids),
+            vector_ids=tuple(rows[a][0] for a in ids),
+            matrix=np.array([rows[a][1] for a in ids], np.float32).reshape(
+                -1, 2
+            ),
+            columns={} if columns is None else columns,
+        )
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_model(self, data):
+        pool = [f"a{i:02d}" for i in range(12)]
+        pids = [-1, 0, 1, 2]
+        home = data.draw(
+            st.dictionaries(st.sampled_from(pool), st.sampled_from(pids))
+        )
+        before = {pid: {} for pid in pids}
+        for n, (asset_id, pid) in enumerate(sorted(home.items())):
+            before[pid][asset_id] = (n, (float(n), -float(n)))
+        removed = data.draw(st.sets(st.sampled_from(pool), min_size=1))
+        kind = data.draw(st.sampled_from(["delete", "upsert", "move"]))
+        moves, fresh = {}, None
+        if kind == "move":
+            moves = {
+                a: data.draw(st.sampled_from(pids))
+                for a in sorted(removed)
+                if a in home
+            }
+            removed = set(moves)
+        elif kind == "upsert":
+            fresh = self.entry(
+                -1,
+                {
+                    a: (100 + i, (float(i), 9.0))
+                    for i, a in enumerate(sorted(removed))
+                },
+            )
+        # The same write applied to the model of every partition.
+        after = {pid: dict(rows) for pid, rows in before.items()}
+        carried = {}
+        for pid in pids:
+            for a in removed & after[pid].keys():
+                carried[a] = after[pid].pop(a)
+        gained = set()
+        for a, pid in moves.items():
+            after[pid][a] = carried[a]
+            gained.add(pid)
+        if fresh is not None:
+            for a, vid, row in zip(
+                fresh.asset_ids, fresh.vector_ids, fresh.matrix.tolist()
+            ):
+                after[-1][a] = (vid, tuple(row))
+            gained.add(-1)
+        # Resident entries loaded before the commit, or after it.
+        loaded = data.draw(
+            st.dictionaries(st.sampled_from(pids), st.booleans())
+        )
+        valid = {a: int(a[1:]) % 3 != 0 for a in pool}
+        tracker = MemoryTracker()
+        cache = PartitionCache(budget_bytes=1 << 20, tracker=tracker)
+        for pid, post in loaded.items():
+            rows = (after if post else before)[pid]
+            ids = sorted(rows)
+            column = AttributeColumn(
+                np.array([int(a[1:]) for a in ids], dtype=np.int64),
+                np.array([valid[a] for a in ids], dtype=bool),
+            )
+            cache.put(self.entry(pid, rows, {"n": column}))
+        holders = {home[a] for a in removed if a in home}
+        generation = cache.generation()
+        cache.patch(removed, holders, moves=moves, fresh=fresh)
+        assert cache.generation() == generation + 1
+        for pid in pids:
+            got = cache.get(pid)
+            if pid not in loaded:
+                assert got is None
+                continue
+            # A moved row joins only from an entry that held it.
+            if not all(
+                loaded.get(home[a]) is False or loaded[pid]
+                for a, dest in moves.items()
+                if dest == pid
+            ):
+                assert got is None
+                continue
+            want = self.entry(pid, after[pid])
+            assert got.asset_ids == want.asset_ids
+            assert got.vector_ids == want.vector_ids
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            if pid in gained:
+                assert got.columns == {}
+                continue
+            column = got.columns["n"]
+            assert column.values.tolist() == [
+                int(a[1:]) for a in got.asset_ids
+            ]
+            assert column.valid.tolist() == [valid[a] for a in got.asset_ids]
+        assert cache.used_bytes == sum(
+            cache.get(pid).nbytes for pid in pids if pid in cache
+        )
+        assert tracker.current_bytes == cache.used_bytes

@@ -161,7 +161,7 @@ class TestConcurrentReadersWriter:
         attribute columns on whatever entries they scan. After every
         burst — readers still running — a filtered search must reflect
         the last committed value of every asset, in partitions and in
-        the delta alike: no column outlived the invalidation of the
+        the delta alike: no column outlived the write that patched the
         entry it was read for.
         """
         count = 120
@@ -371,7 +371,7 @@ class TestSnapshotIsolation:
     ):
         """A scan's snapshot outlives a concurrent upsert: the delta it
         then loads is the pre-write one, good for this scan only — it
-        must not be re-cached behind the writer's invalidation."""
+        must not be re-cached behind the writer's patch."""
         db = MicroNN.open(tmp_path / "c.db", config)
         try:
             vecs = populate(db, rng, count=60)
@@ -400,11 +400,50 @@ class TestSnapshotIsolation:
             db.close()
 
     @requires_file_backend
+    def test_entry_patched_after_the_snapshot_opened_is_not_served(
+        self, tmp_path, config, rng
+    ):
+        """An overwrite patches the cached partition its row leaves. A
+        scan whose snapshot predates the write must load that partition
+        from the snapshot, not take the patched entry: with the
+        pre-write delta it loads next, the row would be in neither."""
+        db = MicroNN.open(tmp_path / "c.db", config)
+        try:
+            vecs = populate(db, rng, count=60)
+            db.build_index()
+            db.purge_caches()
+            engine = db.engine
+            pid = next(iter(engine.partition_sizes()))
+            target = engine.load_partition(pid).asset_ids[0]
+            old = vecs[int(target[1:])]
+            assert pid in engine.cache and -1 not in engine.cache
+            fresh = np.full(8, 9.0, dtype=np.float32)
+            with engine.read_snapshot() as conn:
+                conn.execute("SELECT COUNT(*) FROM meta").fetchone()  # pin
+                t = threading.Thread(target=db.upsert, args=(target, fresh))
+                t.start()
+                t.join(timeout=30)
+                assert target not in engine.cache.get(pid).asset_ids
+                seen = [
+                    (asset_id, row.tobytes())
+                    for loaded in (
+                        engine.load_partition(pid),
+                        engine.load_partition(-1),
+                    )
+                    for asset_id, row in zip(loaded.asset_ids, loaded.matrix)
+                    if asset_id == target
+                ]
+                assert seen == [(target, old.tobytes())]
+            assert db.search(fresh, k=1).asset_ids == (target,)
+        finally:
+            db.close()
+
+    @requires_file_backend
     def test_delete_during_a_scan_snapshot_rejects_the_stale_partition(
         self, tmp_path, config, rng
     ):
         """The deleted row's partition is not cached yet, so no entry
-        matches the invalidation — the generation still has to move."""
+        is patched — the generation still has to move."""
         db = MicroNN.open(tmp_path / "c.db", config)
         try:
             vecs = populate(db, rng, count=60)
