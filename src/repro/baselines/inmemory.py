@@ -37,12 +37,7 @@ from repro.index.kmeans import (
     plan_num_clusters,
 )
 from repro.query.distance import distances_to_one, pairwise_distances
-from repro.query.heap import (
-    TopKHeap,
-    merge_topk,
-    push_topk,
-    surfaced_neighbors,
-)
+from repro.query.heap import rank_scored, surfaced_neighbors
 from repro.storage.memory import MemoryTracker
 
 #: Memory-tracker category for the resident vector buffer.
@@ -234,12 +229,11 @@ class InMemoryIVF:
         self, dist: np.ndarray, k: int, rows: np.ndarray | None = None
     ) -> tuple[Neighbor, ...]:
         """The k closest of ``dist`` (over ``rows`` of the buffer),
-        surfaced — the engine's accumulator, so its ordering contract."""
-        heap = TopKHeap(k)
-        push_topk(heap, self._ids, dist, k, rows)
-        return surfaced_neighbors(
-            merge_topk([heap], k), self._config.metric
+        surfaced — the engine's cut, so its ordering contract."""
+        merged = rank_scored(
+            dist, np.zeros(1, dtype=np.int64), [self._ids], k, [rows]
         )
+        return surfaced_neighbors(merged, self._config.metric)
 
     def search_batch(
         self, queries: np.ndarray, k: int = 10, nprobe: int | None = None

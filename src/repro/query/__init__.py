@@ -1,4 +1,4 @@
-"""Query processing: distances, heaps, filters, planning, execution."""
+"""Query processing: distances, top-K, filters, planning, execution."""
 
 from repro.query.batch import BatchQueryExecutor
 from repro.query.distance import (
@@ -27,7 +27,6 @@ from repro.query.filters import (
     default_tokenizer,
 )
 from repro.query.fts import TokenStats, match_selectivity
-from repro.query.heap import TopKHeap, merge_topk
 from repro.query.planner import HybridQueryPlanner, PlanDecision
 from repro.query.selectivity import (
     ColumnStats,
@@ -40,8 +39,6 @@ __all__ = [
     "pairwise_distances",
     "distances_to_one",
     "surface_distance",
-    "TopKHeap",
-    "merge_topk",
     "Predicate",
     "CompileContext",
     "Compare",

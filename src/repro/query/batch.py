@@ -9,9 +9,9 @@ MicroNN's MQO — adapted from HQI [27] — inverts the loop:
 3. scan every needed partition **once**; for each partition, compute
    the distances of *all* interested queries against its vectors in a
    single GEMM;
-4. fold each query's row of that GEMM into an array accumulator
-   (:class:`~repro.query.heap.TopKHeap`) and merge them per query —
-   asset-id strings are resolved for the survivors only.
+4. add each query's row of that GEMM to that query's scored slices and
+   cut each query's slices once (:func:`~repro.query.heap.rank_slices`)
+   — asset-id strings are resolved for the survivors only.
 
 Scan cost and I/O are thus amortized across the batch: a partition
 needed by 40 queries is read and decoded once instead of 40 times,
@@ -41,12 +41,7 @@ from repro.query.distance import (
     make_code_scorer,
     pairwise_distances,
 )
-from repro.query.heap import (
-    TopKHeap,
-    merge_topk,
-    push_topk,
-    surfaced_neighbors,
-)
+from repro.query.heap import Slice, rank_slices, surfaced_neighbors
 from repro.query.pipeline import (
     has_cold_partition,
     pipeline_engages,
@@ -59,16 +54,6 @@ from repro.storage.engine import StorageEngine
 #: Query-rows × partition-rows product above which the per-partition
 #: GEMMs are worth fanning out to the worker pool.
 _PARALLEL_BATCH_ELEMENTS = 1 << 21
-
-
-class _BatchScanState:
-    """One compute worker's private MQO accumulator."""
-
-    __slots__ = ("outcomes",)
-
-    def __init__(self) -> None:
-        # (query_rows, heap_per_query, partition_size, is_codes)
-        self.outcomes: list[tuple] = []
 
 
 class BatchQueryExecutor:
@@ -169,17 +154,12 @@ class BatchQueryExecutor:
                 ]
 
             groups, requested = self._group_by_partition(q, nprobe)
-            # One accumulator per (query, partition), merged per query
-            # after the scans.
-            per_query: list[list[TopKHeap]] = [
-                [] for _ in range(num_queries)
-            ]
-            # Approximate candidates from quantized scans, kept apart
+            # Each query's scored slices, cut once per query after the
+            # scans. Approximate ones, from quantized scans, stay apart
             # from the exact ones until the per-query rerank resolves
             # them.
-            per_query_approx: list[list[TopKHeap]] = [
-                [] for _ in range(num_queries)
-            ]
+            exact: list[list[Slice]] = [[] for _ in range(num_queries)]
+            approx: list[list[Slice]] = [[] for _ in range(num_queries)]
             scanned_counts = np.zeros(num_queries, dtype=np.int64)
             rerank_pool = max(k, self._config.rerank_factor * k)
 
@@ -190,25 +170,23 @@ class BatchQueryExecutor:
             # full-precision. _scan_groups picks the schedule exactly
             # as the single-query executor does.
             outcomes, io_time, compute_time, pipelined = self._scan_groups(
-                groups, q, quantizer, scorers, rerank_pool, k
+                groups, q, quantizer, scorers
             )
 
-            for query_rows, heap_per_query, size, is_codes in outcomes:
-                sink = per_query_approx if is_codes else per_query
-                for row, heap in zip(query_rows, heap_per_query):
-                    sink[row].append(heap)
-                    scanned_counts[row] += size
+            for query_rows, asset_ids, dist, is_codes in outcomes:
+                sink = approx if is_codes else exact
+                for row, row_dist in zip(query_rows, dist):
+                    sink[row].append((asset_ids, None, row_dist))
+                scanned_counts[query_rows] += dist.shape[1]
 
             reranked = 0
             if quantizer is not None:
-                reranked = self._rerank_batch(
-                    q, per_query, per_query_approx, rerank_pool, k
-                )
+                reranked = self._rerank_batch(q, exact, approx, rerank_pool)
 
         latency = time.perf_counter() - start
         io_delta = self._engine.accountant.delta_since(io_before)
         results = [
-            self._merge_one(per_query[row], k, int(scanned_counts[row]))
+            self._merge_one(exact[row], k, int(scanned_counts[row]))
             for row in range(num_queries)
         ]
         batch_stats = QueryStats(
@@ -246,10 +224,10 @@ class BatchQueryExecutor:
         )
 
     def _compute_group(self, entry, query_rows, is_codes, q, quantizer,
-                       scorers, rerank_pool: int, k: int):
-        """Score one partition for every query interested in it."""
-        if len(entry) == 0:
-            return query_rows, [], 0, is_codes
+                       scorers):
+        """Score one (non-empty) partition for every query interested
+        in it: ``(query_rows, asset_ids, distances, is_codes)``, one
+        row of distances per query."""
         sub = q[query_rows]
         # One kernel call covers every query interested in this
         # partition (a GEMM for float32; the fused int8 contraction
@@ -266,24 +244,14 @@ class BatchQueryExecutor:
                 dist = asymmetric_pairwise_distances(
                     sub, entry.matrix, quantizer, self._config.metric
                 )
-            keep = rerank_pool
         else:
             dist = pairwise_distances(
                 sub, entry.matrix, self._config.metric
             )
-            keep = k
-        # Worker-local accumulators: pool workers score different
-        # partitions of one query at the same time. Each owns its cut
-        # of the GEMM output (push_topk copies the row view).
-        heap_per_query = []
-        for row in range(len(query_rows)):
-            heap = TopKHeap(keep)
-            push_topk(heap, entry.asset_ids, dist[row], keep)
-            heap_per_query.append(heap)
-        return query_rows, heap_per_query, len(entry), is_codes
+        return query_rows, entry.asset_ids, dist, is_codes
 
     def _scan_groups(
-        self, groups, q, quantizer, scorers, rerank_pool: int, k: int
+        self, groups, q, quantizer, scorers
     ) -> tuple[list[tuple], float, float, bool]:
         """Run the batch's partition scans.
 
@@ -297,7 +265,7 @@ class BatchQueryExecutor:
 
         Returns (per-partition outcomes, io seconds, compute seconds,
         pipelined flag). Outcome order varies across schedules but the
-        per-query merge sorts on (distance, asset_id), so batch results
+        per-query cut ranks on (distance, asset_id), so batch results
         are identical whichever path ran.
         """
         items = list(groups.items())
@@ -305,15 +273,12 @@ class BatchQueryExecutor:
         if cold and pipeline_engages(
             self._engine, self._config.pipeline_depth, len(items)
         ):
-            return self._scan_groups_pipelined(
-                items, q, quantizer, scorers, rerank_pool, k
-            )
+            return self._scan_groups_pipelined(items, q, quantizer, scorers)
 
         def compute(item):
             entry, query_rows, is_codes = item
             return self._compute_group(
-                entry, query_rows, is_codes, q, quantizer, scorers,
-                rerank_pool, k,
+                entry, query_rows, is_codes, q, quantizer, scorers
             )
 
         # Cache misses load, score and drop one at a time under one
@@ -330,6 +295,8 @@ class BatchQueryExecutor:
                 load_start = time.perf_counter()
                 entry, is_codes = self._load_group(pid, quantizer)
                 io_time += time.perf_counter() - load_start
+                if not len(entry):
+                    continue
                 item = (entry, query_rows, is_codes)
                 if miss:
                     outcomes.append(compute(item))
@@ -349,7 +316,7 @@ class BatchQueryExecutor:
         return outcomes, io_time, compute_time, False
 
     def _scan_groups_pipelined(
-        self, items, q, quantizer, scorers, rerank_pool: int, k: int
+        self, items, q, quantizer, scorers
     ) -> tuple[list[tuple], float, float, bool]:
         """Batch scans through the two-stage pipeline.
 
@@ -368,13 +335,12 @@ class BatchQueryExecutor:
                 return None
             return entry, query_rows, is_codes
 
-        def score(state: _BatchScanState, payload) -> None:
+        def score(outcomes: list, payload) -> None:
             entry, query_rows, is_codes = payload
             try:
-                state.outcomes.append(
+                outcomes.append(
                     self._compute_group(
-                        entry, query_rows, is_codes, q, quantizer,
-                        scorers, rerank_pool, k,
+                        entry, query_rows, is_codes, q, quantizer, scorers
                     )
                 )
             finally:
@@ -405,7 +371,7 @@ class BatchQueryExecutor:
         outcome = run_scan_pipeline(
             items,
             load,
-            _BatchScanState,
+            list,
             score,
             io_pool=self._io_worker_pool,
             compute_pool=self._worker_pool,
@@ -414,9 +380,7 @@ class BatchQueryExecutor:
             depth=self._config.pipeline_depth,
             discard=release_scratch_payload,
         )
-        outcomes = [
-            item for state in outcome.states for item in state.outcomes
-        ]
+        outcomes = [item for state in outcome.states for item in state]
         return outcomes, outcome.io_s, outcome.compute_s, True
 
     # ------------------------------------------------------------------
@@ -424,26 +388,20 @@ class BatchQueryExecutor:
     def _rerank_batch(
         self,
         q: np.ndarray,
-        per_query: list[list[TopKHeap]],
-        per_query_approx: list[list[TopKHeap]],
+        exact: list[list[Slice]],
+        approx: list[list[Slice]],
         rerank_pool: int,
-        k: int,
     ) -> int:
         """Re-score each query's approximate candidates exactly.
 
         The rerank I/O is amortized like the scans: the union of every
         query's top ``rerank_factor * k`` candidate ids is point-
         fetched in ONE chunked read, then each query re-scores its own
-        candidates against the shared float32 matrix. Exact candidates
-        land in ``per_query`` where ``_merge_one`` resolves duplicates
-        by keeping the closest (= true) distance.
+        candidates against the shared float32 matrix, as one more exact
+        slice of that query.
         """
-        chosen: list[list[str]] = []
-        union: set[str] = set()
-        for heaps in per_query_approx:
-            ids, _ = merge_topk(heaps, rerank_pool)
-            chosen.append(ids)
-            union.update(ids)
+        chosen = [rank_slices(slices, rerank_pool)[0] for slices in approx]
+        union = set().union(*chosen)
         if not union:
             return 0
         found, matrix = self._engine.fetch_vectors_by_asset_ids(
@@ -457,9 +415,7 @@ class BatchQueryExecutor:
                 continue
             sub = matrix[[row_of[aid] for aid in present]]
             dist = distances_to_one(q[row], sub, self._config.metric)
-            heap = TopKHeap(k)
-            push_topk(heap, present, dist, k)
-            per_query[row].append(heap)
+            exact[row].append((present, None, dist))
             reranked += len(present)
         return reranked
 
@@ -489,10 +445,10 @@ class BatchQueryExecutor:
         return groups, requested
 
     def _merge_one(
-        self, heaps: list[TopKHeap], k: int, scanned: int
+        self, slices: list[Slice], k: int, scanned: int
     ) -> SearchResult:
         neighbors = surfaced_neighbors(
-            merge_topk(heaps, k), self._config.metric
+            rank_slices(slices, k), self._config.metric
         )
         stats = QueryStats(
             plan=PlanKind.ANN,

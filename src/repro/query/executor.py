@@ -5,17 +5,17 @@ The ANN path is Algorithm 2 verbatim:
 1. scan the centroid table and pick the ``n`` partitions whose
    centroids are nearest to the query;
 2. always add the delta partition, so un-flushed inserts are visible;
-3. score the selected partitions. A warm query — every probe in the
-   partition cache — scores them all into one distance array, one
-   batched kernel pass per partition (the worker pool fills disjoint
-   slices of it once the scan is large), with no per-row Python and
-   no asset-id string read. A scan with cache-missing probes loads,
-   scores and folds into a bounded :class:`~repro.query.heap.TopKHeap`
-   one partition at a time, inside one read snapshot; while cold loads
-   are seen *blocking* it runs as a two-stage I/O–compute pipeline
-   instead (:mod:`repro.query.pipeline`), so disk and cores overlap;
-4. cut to the K best once, read asset-id strings for those survivors
-   only, and surface them.
+3. score the selected partitions, one batched kernel pass each, with
+   no per-row Python and no asset-id string read. Every partition
+   scored becomes one slice of distances (:class:`ScanState`). Cached
+   probes are scored together into one array (the worker pool fills
+   disjoint slices of it once the scan is large). Cache-missing probes
+   load, score and drop one at a time inside one read snapshot; while
+   cold loads are seen *blocking* they run as a two-stage I/O–compute
+   pipeline instead (:mod:`repro.query.pipeline`), so disk and cores
+   overlap;
+4. cut all the slices to the K best once, read asset-id strings for
+   those survivors only, and surface them.
 
 With ``quantization="sq8"`` or ``"pq"`` step 3 becomes the *fast scan
 path*: code partitions are scanned with the kind-dispatched quantized
@@ -49,7 +49,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -75,10 +75,9 @@ from repro.query.filters import (
     default_tokenizer,
 )
 from repro.query.heap import (
-    TopKHeap,
-    merge_topk,
-    push_topk,
-    rank_scored,
+    KthBound,
+    Slice,
+    rank_slices,
     surfaced_neighbors,
 )
 from repro.query.pipeline import (
@@ -96,10 +95,6 @@ from repro.storage.quantization import Quantizer
 #: worker pool. Below this, BLAS kernels finish in microseconds and the
 #: pool round-trip would dominate.
 _PARALLEL_SCAN_ELEMENTS = 1 << 21
-
-#: One partition's scan input: its asset-id sequence, the positions of
-#: the matrix rows in it (``None`` = every row in order), the matrix.
-_Work = tuple[Sequence[str], np.ndarray | None, np.ndarray]
 
 
 def adaptive_skip(
@@ -133,12 +128,12 @@ def _span(tracer: Tracer | None, name: str, **args: object):
 class SharedKthTracker:
     """Monotone k-th-candidate bound shared across pipeline workers.
 
-    Each compute worker scores into a private heap, so no worker knows
-    the global k-th distance; each publishes its own heap's worst
-    retained distance here and admission checks read the minimum seen
-    so far. A private heap's worst is always an *upper* bound on the
-    global k-th, so the pruning this feeds is conservative — it only
-    skips partitions the exact serial check would also skip.
+    Each compute worker scores into a private :class:`ScanState`, so no
+    worker knows the global k-th distance; each publishes its own
+    running bound here and admission checks read the minimum seen so
+    far. A private bound is always an *upper* bound on the global k-th,
+    so the pruning this feeds is conservative — it only skips
+    partitions the exact serial check would also skip.
     """
 
     __slots__ = ("_lock", "_value")
@@ -173,7 +168,7 @@ class _ScanOutcome:
     #: Seconds spent loading+decoding partitions (summed across I/O
     #: tasks when pipelined, phase wall-clock when serial).
     io_time_s: float = 0.0
-    #: Seconds spent in distance kernels + heap pushes (summed across
+    #: Seconds spent masking and in distance kernels (summed across
     #: compute workers when pipelined).
     compute_time_s: float = 0.0
     #: Whether the I/O–compute pipeline executed this scan.
@@ -182,29 +177,94 @@ class _ScanOutcome:
     max_depth: int = 0
 
 
-class _ScanState:
-    """One pipeline compute-worker's private accumulator (float32)."""
+class ScanState:
+    """One query's scored partitions and scan counters.
 
-    __slots__ = ("heap", "scanned", "computed", "filtered")
+    Each partition scored is kept as one
+    :data:`~repro.query.heap.Slice` — in ``approx`` when it was scored
+    from codes, in ``exact`` otherwise — until
+    :meth:`QueryExecutor.finish_scan` cuts them all once. A serial scan
+    keeps one state, a pipelined scan one per compute worker (joined by
+    :meth:`absorb` after the drain), a served query one under its
+    task's lock. ``bounded`` keeps the running bounds adaptive
+    admission reads (:meth:`kth`).
+    """
 
-    def __init__(self, capacity: int) -> None:
-        self.heap = TopKHeap(capacity)
-        self.scanned = 0
-        self.computed = 0
-        self.filtered = 0
+    __slots__ = (
+        "k", "rerank_pool", "exact", "approx", "bounds", "scanned",
+        "computed", "filtered",
+    )
+
+    def __init__(self, k: int, rerank_pool: int, bounded: bool) -> None:
+        self.k = k
+        self.rerank_pool = rerank_pool
+        self.exact: list[Slice] = []
+        self.approx: list[Slice] = []
+        self.bounds = (
+            (KthBound(k), KthBound(rerank_pool)) if bounded else None
+        )
+        self.scanned = self.computed = self.filtered = 0
+
+    def spawn(self) -> ScanState:
+        """An empty state for the same query (a pipeline worker's)."""
+        return ScanState(self.k, self.rerank_pool, self.bounds is not None)
+
+    def kth(self) -> float:
+        """The adaptive-nprobe bound: the tighter of the exact rows'
+        K-th distance and the approximate rows' ``rerank_pool``-th
+        (+inf when unbounded). The exact side is a true upper bound on
+        the final K-th candidate. The approximate side lives in
+        quantized space, where quantization can understate an exact
+        distance, so the margin must absorb quantization error too:
+        pruning a quantized scan is a recall heuristic rather than a
+        strict guarantee (bounding on the exact side alone would almost
+        never fire there: it only sees delta and code-less partitions).
+        """
+        if self.bounds is None:
+            return float("inf")
+        return min(bound.value for bound in self.bounds)
+
+    def add(self, entry: CachedPartition, is_codes: bool, scored) -> None:
+        """Record one partition's :func:`score_partition` result."""
+        rows, dist, dropped = scored
+        self.scanned += len(entry)
+        self.filtered += dropped
+        if dist is None:
+            return
+        self.computed += len(dist)
+        sink = self.approx if is_codes else self.exact
+        sink.append((entry.asset_ids, rows, dist))
+        if self.bounds is not None:
+            self.bounds[is_codes].offer(dist)
+
+    def absorb(self, other: ScanState) -> None:
+        """Take over another state's slices and counters."""
+        self.exact += other.exact
+        self.approx += other.approx
+        self.scanned += other.scanned
+        self.computed += other.computed
+        self.filtered += other.filtered
 
 
-class _QuantizedScanState:
-    """Pipeline accumulator for the SQ8 scan: approx + exact heaps."""
-
-    __slots__ = ("approx", "exact", "scanned", "computed", "filtered")
-
-    def __init__(self, rerank_pool: int, k: int) -> None:
-        self.approx = TopKHeap(rerank_pool)
-        self.exact = TopKHeap(k)
-        self.scanned = 0
-        self.computed = 0
-        self.filtered = 0
+def score_partition(
+    entry: CachedPartition,
+    is_codes: bool,
+    row_filter: RowFilter | None,
+    query: np.ndarray,
+    scorer,
+    metric: str,
+) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """The one score step of every scan: mask a loaded partition and
+    score the rows kept — codes through ``scorer``
+    (:func:`~repro.query.distance.make_code_scorer`), floats through
+    :func:`distances_to_one`. Returns ``(rows, distances, rows
+    dropped)``, distances ``None`` when the mask kept nothing."""
+    rows, matrix, dropped = _masked(entry, row_filter)
+    if not len(matrix):
+        return rows, None, dropped
+    if is_codes:
+        return rows, scorer(matrix), dropped
+    return rows, distances_to_one(query, matrix, metric), dropped
 
 
 class RowFilter:
@@ -395,21 +455,15 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Serving-layer entry points (repro.serve)
     # ------------------------------------------------------------------
-    # The concurrent scheduler reuses the executor's selection, rerank
-    # and finalize machinery, so a scheduled query runs exactly the
-    # serial path's numerics — the bit-identical-results guarantee
-    # reduces to "same kernels, same merges, different I/O schedule".
+    # The concurrent scheduler reuses the executor's selection, score
+    # step and finish, so a scheduled query runs exactly the serial
+    # path's numerics — the bit-identical-results guarantee reduces to
+    # "same kernels, same cut, different I/O schedule".
 
     def row_filter_for(self, predicate: Predicate) -> RowFilter:
         """``predicate`` compiled for a post-filtered scan (raises for
         an attribute the schema does not declare)."""
         return RowFilter(self, predicate)
-
-    def finalize_heaps(
-        self, heaps: list[TopKHeap], k: int
-    ) -> tuple[Neighbor, ...]:
-        """Merge heaps into surfaced neighbors (serving layer)."""
-        return surfaced_neighbors(merge_topk(heaps, k), self._config.metric)
 
     def record_query_stats(self, stats: QueryStats) -> None:
         """Fold one finished query into the metrics/event substrate.
@@ -519,15 +573,9 @@ class QueryExecutor:
                     if select_span is not None:
                         select_span.set(probe_set=len(partitions))
                 with _span(tracer, "scan_partitions") as scan_span:
-                    if quantizer is not None:
-                        heaps, outcome = self._scan_partitions_quantized(
-                            partitions, query, k, row_filter, quantizer
-                        )
-                        merged = merge_topk(heaps, k)
-                    else:
-                        merged, outcome = self._scan_partitions(
-                            partitions, query, k, row_filter
-                        )
+                    merged, outcome = self._scan_partitions(
+                        partitions, query, k, row_filter, quantizer
+                    )
                     if scan_span is not None:
                         if row_filter is not None:
                             scan_span.set(filter=row_filter.describe())
@@ -623,8 +671,9 @@ class QueryExecutor:
                         )
                     )
             with _span(tracer, "finalize"):
+                dist = distances_to_one(query, matrix, self._config.metric)
                 neighbors = surfaced_neighbors(
-                    self._score_cut([(found_ids, None, matrix)], query, k),
+                    rank_slices([(found_ids, None, dist)], k),
                     self._config.metric,
                 )
         return self._finish(
@@ -692,18 +741,23 @@ class QueryExecutor:
     def _exhaustive(
         self, query: np.ndarray, k: int
     ) -> tuple[tuple[list[str], np.ndarray], int]:
-        """The exact top K over every stored vector, streamed in
-        bounded batches, and the number of vectors scanned."""
-        heap = TopKHeap(k)
+        """The exact top K over every stored vector, and the number of
+        vectors scanned. Streamed in bounded batches, each cut against
+        the K survivors carried from the batches before it, so no more
+        than a batch plus K asset ids are held at once."""
+        ids: list[str] = []
+        dist = np.empty(0, dtype=np.float32)
         scanned = 0
         with self._engine.scan_session():
-            for ids, matrix in self._engine.iter_vector_batches(
+            for batch_ids, matrix in self._engine.iter_vector_batches(
                 batch_size=4096
             ):
-                scanned += len(ids)
-                dist = distances_to_one(query, matrix, self._config.metric)
-                push_topk(heap, ids, dist, k)
-        return merge_topk([heap], k), scanned
+                scanned += len(batch_ids)
+                batch = distances_to_one(query, matrix, self._config.metric)
+                ids, dist = rank_slices(
+                    [(ids, None, dist), (batch_ids, None, batch)], k
+                )
+        return (ids, dist), scanned
 
     def as_query(self, query: np.ndarray) -> np.ndarray:
         """Validate + canonicalize a query vector."""
@@ -809,7 +863,7 @@ class QueryExecutor:
         pipeline, by :func:`~repro.query.pipeline.pipeline_engages`:
         only when the engine has seen cold loads block long enough for
         the overlap to outweigh the hand-offs. Results are bit-identical
-        either way — same kernels, same merges."""
+        either way — same kernels, same cut."""
         if not pipeline_engages(
             self._engine, self._config.pipeline_depth, len(partitions)
         ):
@@ -847,111 +901,226 @@ class QueryExecutor:
         query: np.ndarray,
         k: int,
         row_filter: RowFilter | None,
+        quantizer: Quantizer | None = None,
     ) -> tuple[tuple[list[str], np.ndarray], _ScanOutcome]:
-        """Float32 partition scan (Algorithm 2) down to the K best
+        """Algorithm 2's partition scan, down to the K best
         ``(asset_ids, distances)``.
 
-        A warm probe set (every entry handed over under one cache lock
-        by :meth:`StorageEngine.resident_entries`) is masked, scored
-        and cut once (:meth:`_score_cut`). A cache miss sends the scan
-        through a loop folding one partition at a time into
-        :class:`~repro.query.heap.TopKHeap` accumulators: the I/O–compute
-        pipeline while cold loads are seen to block, otherwise the
-        ordered loop on this thread — also the ``adaptive_nprobe_margin``
-        path, whose admission check needs the running K-th distance.
+        Every schedule scores each partition through
+        :func:`score_partition` into one :class:`ScanState`, float32
+        and codes alike, and :meth:`finish_scan` cuts it once:
+
+        - **resident** — a float32 scan whose probes are all cached,
+          handed over under one cache lock by
+          :meth:`StorageEngine.resident_entries` and scored into one
+          array (:meth:`_score_hits`);
+        - **pipelined** — a scan with cache-missing probes while cold
+          loads are seen to block (:meth:`_scan_pipelined`);
+        - **ordered** — every other scan, on this thread
+          (:meth:`_scan_ordered`), including every
+          ``adaptive_nprobe_margin`` scan, whose admission check needs
+          the running K-th distance.
         """
+        engine = self._engine
+        margin = self._config.adaptive_nprobe_margin
+        quantized = quantizer is not None
+        scorer = (
+            make_code_scorer(query, quantizer, self._config.metric)
+            if quantized
+            else None
+        )
+        rerank_pool = max(k, self._config.rerank_factor * k)
+        state = ScanState(k, rerank_pool, margin is not None)
         pids = [pid for pid, _ in partitions]
-        adaptive = self._config.adaptive_nprobe_margin is not None
-        io_start = time.perf_counter()
-        entries = None if adaptive else self._engine.resident_entries(pids)
+        resident = margin is None and not quantized
+        start = time.perf_counter()
+        entries = engine.resident_entries(pids) if resident else None
+        split = None
         if entries is not None:
             # Masking is CPU work, charged to the compute window as the
             # pipelined path charges it.
-            compute_start = time.perf_counter()
-            work: list[_Work] = []
-            scanned = filtered = 0
-            for entry in entries:
-                scanned += len(entry)
-                rows, matrix, dropped = _masked(entry, row_filter)
-                filtered += dropped
-                if len(matrix):
-                    work.append((entry.asset_ids, rows, matrix))
-            merged = self._score_cut(work, query, k)
-            return merged, _ScanOutcome(
-                vectors_scanned=scanned,
-                distance_computations=sum(len(m) for _, _, m in work),
-                rows_filtered=filtered,
-                io_time_s=compute_start - io_start,
-                compute_time_s=time.perf_counter() - compute_start,
-            )
-        cold = not adaptive or has_cold_partition(self._engine, pids, False)
-        split = self._pipeline_split(partitions) if cold else None
-        if split is not None:
-            heaps, outcome = self._scan_partitions_pipelined(
-                partitions, query, k, row_filter, split
-            )
+            io_s = time.perf_counter() - start
+            hits = [(entry, False) for entry in entries]
+            self._score_hits(state, hits, query, None, row_filter)
+            compute_s = time.perf_counter() - start - io_s
+            skipped = depth = 0
         else:
-            heaps, outcome = self._scan_ordered(
-                partitions, query, k, row_filter, None, cold
-            )
-        return merge_topk(heaps, k), outcome
+            cold = resident or has_cold_partition(engine, pids, quantized)
+            split = self._pipeline_split(partitions) if cold else None
+            if split is None:
+                timing = self._scan_ordered(
+                    state, partitions, query, row_filter, scorer, cold
+                )
+            else:
+                timing = self._scan_pipelined(
+                    state, partitions, query, row_filter, scorer, split
+                )
+            io_s, compute_s, skipped, depth = timing
+        merged, reranked = self.finish_scan(state, query)
+        return merged, _ScanOutcome(
+            vectors_scanned=state.scanned,
+            distance_computations=state.computed + reranked,
+            rows_filtered=state.filtered,
+            scan_mode=quantizer.kind if quantized else "float32",
+            candidates_reranked=reranked,
+            partitions_skipped=skipped,
+            io_time_s=io_s,
+            compute_time_s=compute_s,
+            pipelined=split is not None,
+            max_depth=depth,
+        )
 
-    def _score_cut(
-        self, work: list[_Work], query: np.ndarray, k: int
-    ) -> tuple[list[str], np.ndarray]:
-        """Score every matrix of ``work`` into one distance array and
-        cut it once (:func:`~repro.query.heap.rank_scored`). Above
-        ``_PARALLEL_SCAN_ELEMENTS`` the worker pool fills each matrix's
-        slice of that array; the kernel is row-stable, so the values
-        are the ones the inline pass computes."""
-        matrices = [matrix for _, _, matrix in work]
-        starts = np.cumsum([0, *map(len, matrices)])
-        dist = np.empty(int(starts[-1]), dtype=np.float32)
+    def _score_hits(
+        self,
+        state: ScanState,
+        loaded: list[tuple[CachedPartition, bool]],
+        query: np.ndarray,
+        scorer,
+        row_filter: RowFilter | None,
+    ) -> None:
+        """Mask cache-resident ``(entry, is_codes)`` partitions, score
+        what the masks keep into one distance array and add each
+        partition's slice of it to ``state``.
+
+        Above ``_PARALLEL_SCAN_ELEMENTS`` the worker pool fills the
+        slices, one partition per task; the kernels are row-stable, so
+        the values are the ones the inline pass computes.
+        """
+        masked = [
+            (entry, is_codes, *_masked(entry, row_filter))
+            for entry, is_codes in loaded
+        ]
+        work = [(m, is_codes) for _, is_codes, _, m, _ in masked if len(m)]
+        starts = list(accumulate((len(m) for m, _ in work), initial=0))
+        dist = np.empty(starts[-1], dtype=np.float32)
+        slices = [dist[lo:hi] for lo, hi in zip(starts, starts[1:])]
         metric = self._config.metric
-        if (
-            self._config.device.worker_threads < 2
-            or len(matrices) < 2
-            or dist.size * query.size < _PARALLEL_SCAN_ELEMENTS
-        ):
-            distances_into(query, matrices, metric, dist)
-        else:
 
-            def fill(matrix: np.ndarray, out: np.ndarray) -> None:
+        def fill(item: tuple[np.ndarray, bool], out: np.ndarray) -> None:
+            matrix, is_codes = item
+            if is_codes:
+                out[:] = scorer(matrix)
+            else:
                 distances_into(query, [matrix], metric, out)
 
-            slices = [dist[lo:hi] for lo, hi in zip(starts, starts[1:])]
-            list(self._worker_pool().map(fill, matrices, slices))
-        ids = [asset_ids for asset_ids, _, _ in work]
-        kept = [rows for _, rows, _ in work]
-        return rank_scored(dist, starts[:-1], ids, k, kept)
+        if (
+            self._config.device.worker_threads > 1
+            and len(work) > 1
+            and dist.size * query.size >= _PARALLEL_SCAN_ELEMENTS
+        ):
+            list(self._worker_pool().map(fill, work, slices))
+        elif scorer is None:
+            distances_into(query, [m for m, _ in work], metric, dist)
+        else:
+            for item, out in zip(work, slices):
+                fill(item, out)
+        scored = iter(slices)
+        for entry, is_codes, rows, matrix, dropped in masked:
+            out = next(scored) if len(matrix) else None
+            state.add(entry, is_codes, (rows, out, dropped))
 
-    def _scan_partitions_pipelined(
+    def _scan_ordered(
         self,
+        state: ScanState,
         partitions: list[tuple[int, float]],
         query: np.ndarray,
-        k: int,
         row_filter: RowFilter | None,
+        scorer,
+        cold: bool,
+    ) -> tuple[float, float, int, int]:
+        """Ordered load → score → drop loop on the caller's thread.
+
+        Probes load in centroid-distance order, inside one read
+        snapshot when the scan is ``cold`` — one database state and one
+        transaction per query. A probe that misses the cache is scored
+        as soon as it is loaded, so at most one uncached matrix is
+        live. The probes that hit are references into the cache: they
+        are scored together after the loop (:meth:`_score_hits`, which
+        keeps a large scan's multi-core scoring).
+
+        With ``adaptive_nprobe_margin`` set every probe is scored as it
+        loads, and the admission check (:meth:`ScanState.kth`) runs
+        before each *load*, so a skipped partition costs neither I/O
+        nor a kernel. Single-threaded on purpose: the check is
+        order-dependent, which makes this path exactly reproducible
+        (the deterministic reference the pipelined admission
+        approximates conservatively).
+
+        Returns ``(io seconds, compute seconds, partitions skipped,
+        0)`` — the last is the pipelined schedule's queue depth.
+        """
+        margin = self._config.adaptive_nprobe_margin
+        engine = self._engine
+        metric = self._config.metric
+        quantized = scorer is not None
+        hits: list[tuple[CachedPartition, bool]] = []
+        io_s = compute_s = 0.0
+        skipped = 0
+        with engine.read_snapshot() if cold else nullcontext():
+            for pid, cdist in partitions:
+                if margin is not None and adaptive_skip(
+                    cdist, state.kth(), margin
+                ):
+                    skipped += 1
+                    engine.workload.record_skip(pid)
+                    continue
+                hit = margin is None and not has_cold_partition(
+                    engine, (pid,), quantized
+                )
+                start = time.perf_counter()
+                entry, is_codes = engine.load_scan_entry(pid, quantized)
+                loaded = time.perf_counter()
+                io_s += loaded - start
+                if not len(entry):
+                    continue
+                if hit:
+                    hits.append((entry, is_codes))
+                    continue
+                scored = score_partition(
+                    entry, is_codes, row_filter, query, scorer, metric
+                )
+                state.add(entry, is_codes, scored)
+                compute_s += time.perf_counter() - loaded
+        start = time.perf_counter()
+        self._score_hits(state, hits, query, scorer, row_filter)
+        return io_s, compute_s + time.perf_counter() - start, skipped, 0
+
+    def _scan_pipelined(
+        self,
+        state: ScanState,
+        partitions: list[tuple[int, float]],
+        query: np.ndarray,
+        row_filter: RowFilter | None,
+        scorer,
         split: tuple[int, int],
-    ) -> tuple[list[TopKHeap], _ScanOutcome]:
-        """Float32 scan through the I/O–compute pipeline.
+    ) -> tuple[float, float, int, int]:
+        """The scan through the I/O–compute pipeline.
 
         Loads use the scratch-buffer pool for partitions the LRU cache
-        would never admit; each compute worker releases a payload's
-        lease as soon as it has been scored, so at most ``depth +
-        compute_workers`` scratch buffers are pinned at once. With
-        ``adaptive_nprobe_margin`` set, compute workers publish their
-        heap bounds to a shared tracker and producers stop admitting
+        would never admit; each compute worker scores into its own
+        state, joined into ``state`` after the drain, and releases a
+        payload's lease as soon as it has been scored, so at most
+        ``depth + compute_workers`` scratch buffers are pinned at once.
+        The PQ scorer's ADC table is read-only, safe across workers.
+        With ``adaptive_nprobe_margin`` set, compute workers publish
+        their bounds to a shared tracker and producers stop admitting
         partitions that can no longer beat the k-th candidate.
+
+        Returns ``(io seconds, compute seconds, partitions skipped,
+        queue high-water mark)``.
         """
         engine = self._engine
         metric = self._config.metric
+        quantized = scorer is not None
         io_threads, compute_workers = split
         margin = self._config.adaptive_nprobe_margin
         tracker = SharedKthTracker() if margin is not None else None
 
-        def load(item: tuple[int, float]) -> CachedPartition | None:
-            entry = engine.load_partition(item[0], use_scratch=True)
-            return entry if len(entry) else None
+        def load(item: tuple[int, float]):
+            entry, is_codes = engine.load_scan_entry(
+                item[0], quantized, use_scratch=True
+            )
+            return (entry, is_codes) if len(entry) else None
 
         admit = None
         if tracker is not None:
@@ -962,26 +1131,23 @@ class QueryExecutor:
                     return False
                 return True
 
-        def score(state: _ScanState, entry: CachedPartition) -> None:
+        def score(worker: ScanState, payload) -> None:
+            entry, is_codes = payload
             try:
-                state.scanned += len(entry)
-                rows, matrix, dropped = _masked(entry, row_filter)
-                state.filtered += dropped
-                if not len(matrix):
-                    return
-                state.computed += len(matrix)
-                dist = distances_to_one(query, matrix, metric)
-                push_topk(state.heap, entry.asset_ids, dist, k, rows)
+                scored = score_partition(
+                    entry, is_codes, row_filter, query, scorer, metric
+                )
+                worker.add(entry, is_codes, scored)
             finally:
                 if entry.lease is not None:
                     entry.lease.release()
             if tracker is not None:
-                tracker.observe(state.heap.worst_distance())
+                tracker.observe(worker.kth())
 
         outcome = run_scan_pipeline(
             partitions,
             load,
-            lambda: _ScanState(k),
+            state.spawn,
             score,
             io_pool=self._io_worker_pool,
             compute_pool=self._worker_pool,
@@ -991,42 +1157,41 @@ class QueryExecutor:
             discard=release_scratch_payload,
             admit=admit,
         )
-        states = outcome.states
-        return [s.heap for s in states], _ScanOutcome(
-            vectors_scanned=sum(s.scanned for s in states),
-            distance_computations=sum(s.computed for s in states),
-            rows_filtered=sum(s.filtered for s in states),
-            io_time_s=outcome.io_s,
-            compute_time_s=outcome.compute_s,
-            pipelined=True,
-            partitions_skipped=outcome.skipped,
-            max_depth=outcome.max_depth,
+        for worker in outcome.states:
+            state.absorb(worker)
+        return (
+            outcome.io_s,
+            outcome.compute_s,
+            outcome.skipped,
+            outcome.max_depth,
         )
 
-    def _fan_out(self, work: list[_Work], scan) -> list[TopKHeap]:
-        """``scan`` over ``work``: one heap inline, or one per worker
-        once the matrices are large enough for the pool to pay."""
-        workers = max(
-            1, min(self._config.device.worker_threads, len(work))
-        )
-        total_elements = sum(matrix.size for _, _, matrix in work)
-        if workers == 1 or total_elements < _PARALLEL_SCAN_ELEMENTS:
-            return [scan(work)]
-        shards = [work[i::workers] for i in range(workers)]
-        return list(self._worker_pool().map(scan, shards))
+    def finish_scan(
+        self, state: ScanState, query: np.ndarray
+    ) -> tuple[tuple[list[str], np.ndarray], int]:
+        """A finished scan's K best ``(asset_ids, distances)``, and the
+        rows reranked.
 
-    def _scan_work(
-        self, work: list[_Work], query: np.ndarray, k: int
-    ) -> TopKHeap:
-        """One worker's share: batched distances into a bounded heap."""
-        heap = TopKHeap(k)
-        for ids, rows, matrix in work:
-            dist = distances_to_one(query, matrix, self._config.metric)
-            push_topk(heap, ids, dist, k, rows)
-        return heap
+        One cut over the exact slices. A quantized scan first cuts its
+        approximate slices to ``rerank_factor * k`` candidates and
+        re-scores those against their float32 vectors, point-fetched by
+        id — the small, bounded read that buys exactness back — as one
+        more exact slice.
+        """
+        exact, reranked = state.exact, 0
+        if state.approx:
+            candidates, _ = rank_slices(state.approx, state.rerank_pool)
+            found, matrix = self._engine.fetch_vectors_by_asset_ids(
+                candidates
+            )
+            if found:
+                dist = distances_to_one(query, matrix, self._config.metric)
+                exact = [(found, None, dist), *exact]
+                reranked = len(found)
+        return rank_slices(exact, state.k), reranked
 
     # ------------------------------------------------------------------
-    # Quantized (sq8) scan path
+    # Quantized (sq8 / pq) scans
     # ------------------------------------------------------------------
 
     def scan_quantizer(self) -> Quantizer | None:
@@ -1035,355 +1200,16 @@ class QueryExecutor:
         None either because quantization is off, or because no
         quantizer has been trained yet (a database opened with sq8/pq
         but not yet built) — both fall back to the exact float32 scan.
+        Non-delta partitions are then read as compact codes and scored
+        with the kind-dispatched kernel (block-fused asymmetric for
+        SQ8, ADC gather+sum against the query's lookup table for PQ,
+        built once per scan). The delta partition (lazily encoded in
+        memory once past ``delta_quantize_threshold``) and any
+        partition without codes are scanned exactly.
         """
         if not self._config.uses_quantization:
             return None
         return self._engine.load_quantizer()
-
-    def _scan_partitions_quantized(
-        self,
-        partitions: list[tuple[int, float]],
-        query: np.ndarray,
-        k: int,
-        row_filter: RowFilter | None,
-        quantizer: Quantizer,
-    ) -> tuple[list[TopKHeap], _ScanOutcome]:
-        """Quantized scan: code partitions + exact rerank (hot path).
-
-        Non-delta partitions are read as compact codes — the same
-        sequential range read at a fraction of the bytes — and scored
-        with the kind-dispatched kernel (block-fused asymmetric for
-        SQ8, ADC gather+sum against this query's lookup table for PQ;
-        the table is built ONCE here and reused for every partition of
-        the scan) into bounded heaps of capacity ``rerank_factor *
-        k``. The delta partition (full-precision on disk so upserts
-        stay one cheap row write; lazily encoded in memory once past
-        ``delta_quantize_threshold``) and any partition without codes
-        (mid-build, or a pre-quantization database) are scanned
-        exactly. The merged approximate top candidates are then
-        re-scored against their float32 vectors, point-fetched by id,
-        and combined with the exact candidates.
-        """
-        cold = has_cold_partition(
-            self._engine, (pid for pid, _ in partitions), True
-        )
-        split = self._pipeline_split(partitions) if cold else None
-        if split is not None:
-            return self._scan_quantized_pipelined(
-                partitions, query, k, row_filter, quantizer, split
-            )
-        if cold or self._config.adaptive_nprobe_margin is not None:
-            return self._scan_ordered(
-                partitions, query, k, row_filter, quantizer, cold
-            )
-        scorer = make_code_scorer(query, quantizer, self._config.metric)
-        # Load window, then masking + kernels in the compute window —
-        # same phase attribution as the pipelined path (see
-        # _scan_partitions).
-        io_start = time.perf_counter()
-        loaded: list[tuple[CachedPartition, bool]] = []
-        for pid, _ in partitions:
-            entry, is_codes = self._engine.load_scan_entry(
-                pid, quantized=True
-            )
-            if len(entry):
-                loaded.append((entry, is_codes))
-        io_time = time.perf_counter() - io_start
-
-        compute_start = time.perf_counter()
-        approx_work: list[_Work] = []
-        exact_work: list[_Work] = []
-        scanned = filtered = 0
-        for entry, is_codes in loaded:
-            scanned += len(entry)
-            rows, matrix, dropped = _masked(entry, row_filter)
-            filtered += dropped
-            if len(matrix):
-                bucket = approx_work if is_codes else exact_work
-                bucket.append((entry.asset_ids, rows, matrix))
-        rerank_pool = max(k, self._config.rerank_factor * k)
-        computed = sum(len(m) for _, _, m in approx_work + exact_work)
-        approx_heaps = self._fan_out(
-            approx_work,
-            lambda shard: self._scan_codes_work(shard, scorer, rerank_pool),
-        )
-        exact_heap = self._scan_work(exact_work, query, k)
-        compute_time = time.perf_counter() - compute_start
-        rerank_heap, reranked = self.rerank_candidates(
-            merge_topk(approx_heaps, rerank_pool), query, k
-        )
-        outcome = _ScanOutcome(
-            vectors_scanned=scanned,
-            distance_computations=computed + reranked,
-            rows_filtered=filtered,
-            scan_mode=quantizer.kind,
-            candidates_reranked=reranked,
-            io_time_s=io_time,
-            compute_time_s=compute_time,
-        )
-        return [rerank_heap, exact_heap], outcome
-
-    def _scan_ordered(
-        self,
-        partitions: list[tuple[int, float]],
-        query: np.ndarray,
-        k: int,
-        row_filter: RowFilter | None,
-        quantizer: Quantizer | None,
-        cold: bool,
-    ) -> tuple[list[TopKHeap], _ScanOutcome]:
-        """Ordered load → score → drop loop on the caller's thread.
-
-        The serial form of a ``cold`` scan, float32 (``quantizer`` is
-        None) or quantized: each cache-missing partition is scored as
-        soon as it is loaded, so at most one uncached matrix is live,
-        and all the loads share one read snapshot — one database state
-        and one transaction per query. In a scan large enough for the
-        worker pool (``_PARALLEL_SCAN_ELEMENTS``) the probes that hit
-        the cache are scored after the loop, one accumulator per pool
-        worker.
-
-        With ``adaptive_nprobe_margin`` set it also terminates early:
-        the probe set arrives in centroid-distance order, so the
-        admission check runs before each *load* and a skipped
-        partition costs neither I/O nor a kernel. Single-threaded on
-        purpose — the check is order-dependent, which makes this path
-        exactly reproducible (the deterministic reference the
-        pipelined admission approximates conservatively). The bound is
-        the tighter of the approximate heap's ``rerank_factor * k``-th
-        distance and the exact heap's k-th. The exact side is a true
-        upper bound on the final k-th candidate; the approximate side
-        lives in quantized space, where quantization can understate an
-        exact distance — so the margin must absorb quantization error
-        too, and pruning a quantized scan is a recall heuristic rather
-        than a strict guarantee (bounding on the exact heap alone
-        would almost never fire there: it only sees delta and
-        code-less partitions).
-        """
-        margin = self._config.adaptive_nprobe_margin
-        engine = self._engine
-        metric = self._config.metric
-        quantized = quantizer is not None
-        rerank_pool = max(k, self._config.rerank_factor * k)
-        scorer = (
-            make_code_scorer(query, quantizer, metric) if quantized else None
-        )
-        approx = TopKHeap(rerank_pool)
-        exact = TopKHeap(k)
-        # A scan big enough for the worker pool keeps its multi-core
-        # scoring for the probes that hit the cache: those matrices
-        # are references into it, so they are set aside and fanned out
-        # after the loop. Only the misses load, score and drop here.
-        set_aside = margin is None and (
-            len(partitions)
-            * self._config.target_cluster_size
-            * self._config.dim
-            >= _PARALLEL_SCAN_ELEMENTS
-        )
-        approx_later: list[_Work] = []
-        exact_later: list[_Work] = []
-        io_time = compute_time = 0.0
-        scanned = computed = filtered = skipped = 0
-        with engine.read_snapshot() if cold else nullcontext():
-            for pid, cdist in partitions:
-                if margin is not None and adaptive_skip(
-                    cdist,
-                    min(approx.worst_distance(), exact.worst_distance()),
-                    margin,
-                ):
-                    skipped += 1
-                    engine.workload.record_skip(pid)
-                    continue
-                later = set_aside and not has_cold_partition(
-                    engine, (pid,), quantized
-                )
-                start = time.perf_counter()
-                entry, is_codes = engine.load_scan_entry(pid, quantized)
-                loaded = time.perf_counter()
-                io_time += loaded - start
-                if not len(entry):
-                    continue
-                scanned += len(entry)
-                rows, matrix, dropped = _masked(entry, row_filter)
-                filtered += dropped
-                if len(matrix):
-                    computed += len(matrix)
-                    ids = entry.asset_ids
-                    if later:
-                        (approx_later if is_codes else exact_later).append(
-                            (ids, rows, matrix)
-                        )
-                    elif is_codes:
-                        push_topk(
-                            approx, ids, scorer(matrix), rerank_pool, rows
-                        )
-                    else:
-                        dist = distances_to_one(query, matrix, metric)
-                        push_topk(exact, ids, dist, k, rows)
-                compute_time += time.perf_counter() - loaded
-        approx_heaps, heaps, reranked = [approx], [exact], 0
-        if set_aside:
-            start = time.perf_counter()
-            approx_heaps += self._fan_out(
-                approx_later,
-                lambda shard: self._scan_codes_work(
-                    shard, scorer, rerank_pool
-                ),
-            )
-            heaps += self._fan_out(
-                exact_later, lambda shard: self._scan_work(shard, query, k)
-            )
-            compute_time += time.perf_counter() - start
-        if quantized:
-            rerank_heap, reranked = self.rerank_candidates(
-                merge_topk(approx_heaps, rerank_pool), query, k
-            )
-            heaps = [rerank_heap, *heaps]
-        outcome = _ScanOutcome(
-            vectors_scanned=scanned,
-            distance_computations=computed + reranked,
-            rows_filtered=filtered,
-            scan_mode=quantizer.kind if quantized else "float32",
-            candidates_reranked=reranked,
-            io_time_s=io_time,
-            compute_time_s=compute_time,
-            partitions_skipped=skipped,
-        )
-        return heaps, outcome
-
-    def _scan_quantized_pipelined(
-        self,
-        partitions: list[tuple[int, float]],
-        query: np.ndarray,
-        k: int,
-        row_filter: RowFilter | None,
-        quantizer: Quantizer,
-        split: tuple[int, int],
-    ) -> tuple[list[TopKHeap], _ScanOutcome]:
-        """Quantized scan through the I/O–compute pipeline.
-
-        The I/O stage reads code partitions (falling back to float32
-        for code-less partitions and the under-threshold delta,
-        exactly like the serial path); each compute worker keeps an
-        approx heap of capacity ``rerank_factor * k`` fed by the
-        kind-dispatched code kernel (the shared scorer closes over
-        this query's ADC table under PQ — read-only state, safe across
-        workers) plus an exact heap for full-precision payloads. The
-        merged approximate candidates are reranked once the pipeline
-        drains.
-        """
-        engine = self._engine
-        metric = self._config.metric
-        rerank_pool = max(k, self._config.rerank_factor * k)
-        io_threads, compute_workers = split
-        margin = self._config.adaptive_nprobe_margin
-        tracker = SharedKthTracker() if margin is not None else None
-        scorer = make_code_scorer(query, quantizer, metric)
-
-        def load(item: tuple[int, float]):
-            entry, is_codes = engine.load_scan_entry(
-                item[0], quantized=True, use_scratch=True
-            )
-            if len(entry) == 0:
-                return None
-            return entry, is_codes
-
-        admit = None
-        if tracker is not None:
-
-            def admit(item: tuple[int, float]) -> bool:
-                if adaptive_skip(item[1], tracker.value, margin):
-                    engine.workload.record_skip(item[0])
-                    return False
-                return True
-
-        def score(state: _QuantizedScanState, payload) -> None:
-            entry, is_codes = payload
-            try:
-                state.scanned += len(entry)
-                rows, matrix, dropped = _masked(entry, row_filter)
-                state.filtered += dropped
-                if not len(matrix):
-                    return
-                state.computed += len(matrix)
-                ids = entry.asset_ids
-                if is_codes:
-                    dist = scorer(matrix)
-                    push_topk(state.approx, ids, dist, rerank_pool, rows)
-                else:
-                    dist = distances_to_one(query, matrix, metric)
-                    push_topk(state.exact, ids, dist, k, rows)
-            finally:
-                if entry.lease is not None:
-                    entry.lease.release()
-            if tracker is not None:
-                tracker.observe(
-                    min(
-                        state.approx.worst_distance(),
-                        state.exact.worst_distance(),
-                    )
-                )
-
-        outcome = run_scan_pipeline(
-            partitions,
-            load,
-            lambda: _QuantizedScanState(rerank_pool, k),
-            score,
-            io_pool=self._io_worker_pool,
-            compute_pool=self._worker_pool,
-            io_threads=io_threads,
-            compute_workers=compute_workers,
-            depth=self._config.pipeline_depth,
-            discard=release_scratch_payload,
-            admit=admit,
-        )
-        states = outcome.states
-        rerank_heap, reranked = self.rerank_candidates(
-            merge_topk([s.approx for s in states], rerank_pool), query, k
-        )
-        heaps = [rerank_heap] + [s.exact for s in states]
-        return heaps, _ScanOutcome(
-            vectors_scanned=sum(s.scanned for s in states),
-            distance_computations=sum(s.computed for s in states)
-            + reranked,
-            rows_filtered=sum(s.filtered for s in states),
-            scan_mode=quantizer.kind,
-            candidates_reranked=reranked,
-            io_time_s=outcome.io_s,
-            compute_time_s=outcome.compute_s,
-            pipelined=True,
-            partitions_skipped=outcome.skipped,
-            max_depth=outcome.max_depth,
-        )
-
-    def _scan_codes_work(
-        self, work: list[_Work], scorer, capacity: int
-    ) -> TopKHeap:
-        """One worker's share of the coded-partition scan.
-
-        ``scorer`` is this query's :func:`make_code_scorer` closure —
-        shared across shards so PQ's ADC table is built once per query,
-        not once per worker.
-        """
-        heap = TopKHeap(capacity)
-        for ids, rows, codes in work:
-            push_topk(heap, ids, scorer(codes), capacity, rows)
-        return heap
-
-    def rerank_candidates(
-        self, candidates, query: np.ndarray, k: int
-    ) -> tuple[TopKHeap, int]:
-        """Re-score approximate candidates against float32 vectors.
-
-        The point-fetch reads only ``rerank_factor * k`` full-precision
-        rows — the small, bounded I/O that buys exactness back after
-        the quantized scan.
-        """
-        asset_ids, _ = candidates
-        if not asset_ids:
-            return TopKHeap(k), 0
-        found, matrix = self._engine.fetch_vectors_by_asset_ids(asset_ids)
-        return self._scan_work([(found, None, matrix)], query, k), len(found)
 
 
 def _check_k(k: int) -> None:

@@ -1,30 +1,26 @@
 """Top-K selection over scored partitions, and surfacing (paper §3.3).
 
-A warm scan ends in one cut. Every cache-resident partition of the
-probe set is scored into one float32 distance array, and
-:func:`rank_scored` cuts that array to the K best once. Only then are
-the survivors' slots mapped back to their partitions (a
-``searchsorted`` over the entries' start offsets) and their asset-id
-strings read: the scan itself handles integer positions only.
+Every scan ends in one cut. Each partition a scan scores becomes one
+*slice* — its asset-id sequence, the positions of the scored rows in it
+(``None`` for every row in order) and their distances — and
+:func:`rank_slices` cuts all of a query's slices to the K best once
+(:func:`rank_scored` when they already sit in one array). Only then are
+the survivors' slots mapped back to their slices (a ``searchsorted``
+over the start offsets) and their asset-id strings read: the scan
+itself handles integer positions only.
 
-Loops that see partitions one at a time — cold and pipelined scans,
-quantized scans, the batch executor, the serving scheduler — fold each
-one into a :class:`TopKHeap` instead. It is not a heap of objects: a
-partition is retained as one *chunk* — a reference to its asset-id
-sequence, an owned distance array and the row positions those
-distances belong to — by a constant number of NumPy calls
-(:func:`push_topk`). Rows that can no longer reach the top K are pruned
-against the running K-th distance, and the chunks are compacted with
-``np.partition`` once they hold more than a fixed multiple of K rows,
-so an accumulator retains O(K + one partition) rows.
-:func:`merge_topk` concatenates the chunks of every accumulator and
-makes the same cut.
-
-Both cuts apply the library's ordering contract in one place
+The cut applies the library's ordering contract in one place
 (:func:`_cut`): rank by ``(distance, asset_id)``, duplicate ids keep
 their closest occurrence, and ids are read for the cut's survivors
 only. :func:`surfaced_neighbors` then converts the survivors to
 user-facing distances in one vectorised pass.
+
+Adaptive-nprobe admission needs a bound while the scan runs, not the
+cut: :class:`KthBound` keeps the running K-th distance offered.
+
+:class:`TopKHeap`, :func:`push_topk` and :func:`merge_topk` are a chunk
+collector over the same cut, kept for callers that time the collecting
+and the cut apart; the scans do not use them.
 
 Distances keep the dtype they arrive in: float32 from the scan kernels,
 float64 in the sharded gather merge (which ranks surfaced distances).
@@ -32,15 +28,16 @@ float64 in the sharded gather merge (which ranks surfaced distances).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.types import Neighbor
 
-#: Retained rows, as a multiple of the capacity, above which an
-#: accumulator compacts down to its K best (plus ties).
-_COMPACT_FACTOR = 8
+#: One scored partition: its asset-id sequence, the positions of the
+#: scored rows in it (``None`` = every row in order), their distances.
+Slice = tuple[Sequence[str], np.ndarray | None, np.ndarray]
 
 _INF = float("inf")
 
@@ -54,111 +51,24 @@ def _smallest(dist: np.ndarray, count: int) -> np.ndarray:
     return np.flatnonzero(dist <= kth)
 
 
-def _within(
-    dist: np.ndarray, rows: np.ndarray | None, bound: float
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ``(distances, rows)`` at or under ``bound`` (``rows`` is
-    ``None`` for every position in order). Rows tied with the bound
-    stay: a tie can still win on the asset-id tie-break."""
-    keep = np.flatnonzero(dist <= bound)
-    if keep.shape[0] == dist.shape[0]:
-        return dist, rows
-    return dist[keep], keep if rows is None else rows[keep]
+class KthBound:
+    """The K-th smallest distance offered so far (+inf below K rows):
+    the adaptive-nprobe admission bound. Keeps the K smallest values,
+    so an :meth:`offer` costs O(K + offered rows)."""
 
+    __slots__ = ("_k", "_best", "value")
 
-class TopKHeap:
-    """Fixed-capacity accumulator of the K smallest distances offered.
+    def __init__(self, k: int) -> None:
+        self._k = k
+        self._best = np.empty(0, dtype=np.float32)
+        self.value = _INF
 
-    Holds ``(asset_ids, distances, rows)`` chunks: ``distances[i]`` is
-    the distance of ``asset_ids[rows[i]]``. Not thread-safe: one per
-    worker (or per scheduled query, under the task's lock), merged with
-    :func:`merge_topk` after the join.
-    """
-
-    __slots__ = ("_capacity", "_chunks", "_retained", "_bound", "_stale")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._capacity = capacity
-        self._chunks: list[tuple[Sequence[str], np.ndarray, np.ndarray]] = []
-        self._retained = 0
-        # An upper bound on the K-th smallest distance offered so far
-        # (the pruning threshold); exact unless rows were retained
-        # since it was last computed (``_stale``).
-        self._bound = _INF
-        self._stale = False
-
-    def __len__(self) -> int:
-        """Rows counting toward the top K (at most the capacity)."""
-        return min(self._retained, self._capacity)
-
-    def worst_distance(self) -> float:
-        """The exact K-th smallest distance offered so far — the
-        admission threshold (+inf while fewer than K rows were)."""
-        if self._stale:
-            self._stale = False
-            if self._retained >= self._capacity:
-                dist = np.concatenate([d for _, d, _ in self._chunks])
-                k = self._capacity
-                self._bound = float(np.partition(dist, k - 1)[k - 1])
-        return self._bound
-
-    def _fold(
-        self,
-        asset_ids: Sequence[str],
-        dist: np.ndarray,
-        rows: np.ndarray | None,
-    ) -> None:
-        """Retain one partition's rows that can still reach the top K
-        (a stale bound only ever keeps a superset of them)."""
-        if self._bound != _INF:
-            dist, rows = _within(dist, rows, self._bound)
-            if not dist.shape[0]:
-                return
-        if rows is None:
-            rows = np.arange(dist.shape[0])
-        if dist.base is not None:
-            # Own what is retained: a view would pin the buffer it was
-            # cut from (a GEMM output row, a scratch-pool lease).
-            dist = dist.copy()
-        self._chunks.append((asset_ids, dist, rows))
-        self._retained += dist.shape[0]
-        self._stale = True
-        if self._retained > _COMPACT_FACTOR * self._capacity:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every retained row beyond the K-th smallest distance."""
-        bound = self.worst_distance()
-        chunks = []
-        for asset_ids, dist, rows in self._chunks:
-            dist, rows = _within(dist, rows, bound)
-            if dist.shape[0]:
-                chunks.append((asset_ids, dist, rows))
-        self._chunks = chunks
-        self._retained = sum(len(dist) for _, dist, _ in chunks)
-
-
-def push_topk(
-    heap: TopKHeap,
-    asset_ids: Sequence[str],
-    distances,
-    k: int | None = None,
-    rows: np.ndarray | None = None,
-) -> None:
-    """Fold one partition's distance vector into an accumulator.
-
-    ``distances[i]`` belongs to ``asset_ids[i]``, or to
-    ``asset_ids[rows[i]]`` when ``rows`` (the positions a filter kept)
-    is given. ``k`` is accepted for the historical call shape only: the
-    cut is always the accumulator's capacity.
-    """
-    dist = np.asarray(distances)
-    if dist.shape[0] != (len(asset_ids) if rows is None else len(rows)):
-        raise ValueError("asset_ids and distances length mismatch")
-    if dist.shape[0]:
-        heap._fold(asset_ids, dist, rows)
+    def offer(self, dist: np.ndarray) -> None:
+        best = np.concatenate([self._best, dist])
+        if best.shape[0] >= self._k:
+            best = np.partition(best, self._k - 1)[: self._k]
+            self.value = float(best[-1])
+        self._best = best
 
 
 def _cut(
@@ -207,8 +117,7 @@ def rank_scored(
     Slots ``starts[i]`` up to ``starts[i + 1]`` of ``dist`` (or its
     end) belong to ``asset_ids[i]``: the ``j``-th of them is row ``j``
     of it, or row ``rows[i][j]`` when ``rows[i]`` (the positions a
-    filter kept) is given. Returns what :func:`merge_topk` returns for
-    the same rows folded through accumulators.
+    filter kept) is given.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -232,29 +141,66 @@ def rank_scored(
     return _cut(dist, k, ids_at)
 
 
+def rank_slices(
+    slices: Sequence[Slice], k: int
+) -> tuple[list[str], np.ndarray]:
+    """:func:`rank_scored` over a query's scored slices."""
+    if not slices:
+        return rank_scored(np.empty(0, np.float32), np.zeros(1, int), [()], k)
+    asset_ids, rows, dists = zip(*slices)
+    starts = np.fromiter(
+        accumulate(map(len, dists[:-1]), initial=0), np.int64, len(dists)
+    )
+    return rank_scored(np.concatenate(dists), starts, asset_ids, k, rows)
+
+
+class TopKHeap:
+    """Collects ``(asset_ids, rows, distances)`` chunks for one
+    :func:`merge_topk` cut. ``capacity`` is validated, not applied:
+    the merge's ``k`` is the cut."""
+
+    __slots__ = ("_chunks",)
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self._chunks: list[Slice] = []
+
+    def __len__(self) -> int:
+        """Rows collected."""
+        return sum(len(dist) for _, _, dist in self._chunks)
+
+
+def push_topk(
+    heap: TopKHeap,
+    asset_ids: Sequence[str],
+    distances,
+    k: int | None = None,
+    rows: np.ndarray | None = None,
+) -> None:
+    """Collect one partition's distance vector.
+
+    ``distances[i]`` belongs to ``asset_ids[i]``, or to
+    ``asset_ids[rows[i]]`` when ``rows`` (the positions a filter kept)
+    is given. ``k`` is accepted for the historical call shape only.
+    """
+    dist = np.asarray(distances)
+    if dist.shape[0] != (len(asset_ids) if rows is None else len(rows)):
+        raise ValueError("asset_ids and distances length mismatch")
+    if dist.shape[0]:
+        if dist.base is not None:
+            # Own what is collected: a view would follow the buffer it
+            # was cut from.
+            dist = dist.copy()
+        heap._chunks.append((asset_ids, rows, dist))
+
+
 def merge_topk(
     heaps: list[TopKHeap], k: int
 ) -> tuple[list[str], np.ndarray]:
-    """Merge accumulators into the global top-K, closest first, by
-    :func:`_cut`'s ordering contract."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    chunks = [chunk for heap in heaps for chunk in heap._chunks]
-    if not chunks:
-        return [], np.empty(0, dtype=np.float32)
-    sequences = [ids for ids, _, _ in chunks]
-    rows = np.concatenate([r for _, _, r in chunks])
-    source = np.repeat(
-        np.arange(len(chunks)), [len(d) for _, d, _ in chunks]
-    )
-
-    def ids_at(cut: np.ndarray) -> list[str]:
-        return [
-            sequences[chunk][row]
-            for chunk, row in zip(source[cut].tolist(), rows[cut].tolist())
-        ]
-
-    return _cut(np.concatenate([d for _, d, _ in chunks]), k, ids_at)
+    """The collected chunks of every heap, cut to the K best
+    (:func:`rank_slices`)."""
+    return rank_slices([chunk for heap in heaps for chunk in heap._chunks], k)
 
 
 def neighbors(
@@ -268,9 +214,8 @@ def neighbors(
 def surfaced_neighbors(
     merged: tuple[list[str], np.ndarray], metric: str
 ) -> tuple[Neighbor, ...]:
-    """Convert :func:`merge_topk` (or :func:`rank_scored`) output to
-    surfaced, canonically ordered :class:`~repro.core.types.Neighbor`
-    tuples.
+    """Convert a cut's ``(asset_ids, distances)`` to surfaced,
+    canonically ordered :class:`~repro.core.types.Neighbor` tuples.
 
     The input is ordered by *internal* distance (squared L2); surfacing
     applies ``sqrt`` — in float64, element-wise what

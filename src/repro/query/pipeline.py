@@ -1,8 +1,8 @@
 """Two-stage partition-scan pipeline: I/O–compute overlap (§3.3).
 
 The serial scan alternates between an I/O-bound phase (read + decode a
-partition from SQLite) and a compute-bound phase (distance kernel +
-top-K heap), so the cores idle during reads and the disk idles during
+partition from SQLite) and a compute-bound phase (mask + distance
+kernel), so the cores idle during reads and the disk idles during
 kernels. This module overlaps them:
 
 - **I/O stage** — ``io_threads`` producer tasks pull work items in the
@@ -12,10 +12,10 @@ kernels. This module overlaps them:
   partitions. The queue depth caps how many loaded-but-unscored
   partitions (and therefore scratch buffers) are in flight.
 - **Compute stage** — ``compute_workers`` consumer tasks drain the
-  queue, each scoring into its own private state (a bounded heap);
-  per-worker states are merged by the caller exactly as the serial
-  scan merges per-shard heaps, so results are bit-identical with the
-  pipeline on or off.
+  queue, each scoring into its own private state (the scored slices
+  of its partitions); the caller joins the per-worker states and cuts
+  them once, exactly as the serial scan cuts its own, so results are
+  bit-identical with the pipeline on or off.
 
 The caller's thread acts as one of the consumers. That guarantees
 liveness even when the shared worker pool is saturated by concurrent
@@ -199,8 +199,8 @@ def run_scan_pipeline(
     """Run ``load`` / ``score`` over ``work_items`` as a pipeline.
 
     ``load(item)`` returns a loaded payload or ``None`` to skip;
-    ``make_state()`` builds one private accumulator per compute worker;
-    ``score(state, payload)`` folds a payload into a state (and owns
+    ``make_state()`` builds one private state per compute worker;
+    ``score(state, payload)`` scores a payload into a state (and owns
     releasing any scratch lease the payload carries, success or not).
     ``io_pool`` / ``compute_pool`` are factories so pools are only
     materialized when a stage actually fans out.

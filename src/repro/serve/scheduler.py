@@ -9,7 +9,7 @@ like that pipeline, pays a thread hand-off only for work that blocks:
 
 - **Inline** — a query's probe set is split at launch by the
   pipeline's own residency rule (``has_cold_partition``). Partitions the
-  cache holds are loaded (a hit, no scratch lease) and folded on the
+  cache holds are loaded (a hit, no scratch lease) and scored on the
   launching thread, in centroid-distance order, by the same
   ``_ScanTask.score_entry`` the shared stage calls; a fully warm query
   finalizes there too — one hand-off per query, not two per partition.
@@ -65,10 +65,12 @@ The stage itself:
   query's partitions were served by a shared read.
 
 Results are **bit-identical** to serial ``search()``: the scheduler
-reuses the executor's selection, per-partition kernels
-(``distances_to_one`` per query — never a cross-query GEMM, whose
-accumulation order could differ), rerank and merge machinery. Only the
-I/O schedule changes. One carve-out: with ``adaptive_nprobe_margin``
+reuses the executor's selection, its score step
+(:func:`~repro.query.executor.score_partition`: ``distances_to_one``
+per query — never a cross-query GEMM, whose accumulation order could
+differ) and its finish (:meth:`QueryExecutor.finish_scan`: rerank and
+the one cut, over the query's :class:`ScanState` slices). Only the I/O
+schedule changes. One carve-out: with ``adaptive_nprobe_margin``
 set, pruning decisions depend on the order partitions happen to be
 scored in — true of every concurrent path, the single-query pipeline
 included — so adaptive runs are recall-equivalent within the margin
@@ -88,6 +90,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import Callable
 
 import numpy as np
@@ -96,15 +99,16 @@ from repro.core.config import DELTA_PARTITION_ID, MicroNNConfig
 from repro.core.errors import DatabaseClosedError
 from repro.core.types import PlanKind, QueryStats, SearchResult
 from repro.obs.metrics import WAIT_MS_BUCKETS
-from repro.query.distance import distances_to_one, make_code_scorer
+from repro.query.distance import make_code_scorer
 from repro.query.executor import (
     _PARALLEL_SCAN_ELEMENTS,
     QueryExecutor,
     RowFilter,
-    _masked,
+    ScanState,
     adaptive_skip,
+    score_partition,
 )
-from repro.query.heap import TopKHeap, merge_topk, push_topk
+from repro.query.heap import surfaced_neighbors
 from repro.query.pipeline import has_cold_partition
 from repro.storage.engine import _ROW_OVERHEAD_BYTES, StorageEngine
 
@@ -136,10 +140,9 @@ class _ScanTask:
 
     __slots__ = (
         "query", "k", "nprobe", "row_filter", "plan", "stats_extra",
-        "setup_fn", "future", "quantizer", "scorer", "rerank_pool",
-        "heap", "approx", "exact", "pending", "num_selected", "lock",
-        "failed", "finished", "scanned", "computed", "filtered",
-        "skipped", "shared_hits", "cache_hits", "cache_misses",
+        "setup_fn", "future", "quantizer", "scorer", "state", "pending",
+        "num_selected", "lock", "failed", "finished", "skipped",
+        "shared_hits", "cache_hits", "cache_misses",
         "bytes_read", "io_s", "compute_s", "submit_t", "admit_t",
         "quarantined",
     )
@@ -164,18 +167,12 @@ class _ScanTask:
         self.future: Future = Future()
         self.quantizer = None
         self.scorer = None
-        self.rerank_pool = k
-        self.heap: TopKHeap | None = None
-        self.approx: TopKHeap | None = None
-        self.exact: TopKHeap | None = None
+        self.state: ScanState | None = None
         self.pending: set[int] = set()
         self.num_selected = 0
         self.lock = threading.Lock()
         self.failed = False
         self.finished = False
-        self.scanned = 0
-        self.computed = 0
-        self.filtered = 0
         self.skipped = 0
         self.shared_hits = 0
         self.cache_hits = 0
@@ -191,10 +188,10 @@ class _ScanTask:
         self,
         partitions: list[tuple[int, float]],
         quantizer,
-        rerank_factor: int,
-        metric: str,
+        config: MicroNNConfig,
     ) -> None:
-        """Set up heaps + pending set once the probe set is known.
+        """Set up the scan state + pending set once the probe set is
+        known.
 
         The code scorer is per-query state by construction: under PQ
         it closes over THIS query's ADC lookup table, so a partition
@@ -205,25 +202,13 @@ class _ScanTask:
         self.num_selected = len(partitions)
         self.pending = {pid for pid, _ in partitions}
         if quantizer is not None:
-            self.scorer = make_code_scorer(self.query, quantizer, metric)
-            self.rerank_pool = max(self.k, rerank_factor * self.k)
-            self.approx = TopKHeap(self.rerank_pool)
-            self.exact = TopKHeap(self.k)
-        else:
-            self.heap = TopKHeap(self.k)
-
-    def current_kth(self) -> float:
-        """Current k-th candidate bound driving adaptive admission.
-
-        Exact (a true upper bound) for float32 scans; for SQ8 the
-        approximate heap's bound is in quantized space, so — as on the
-        serial adaptive path — the margin must absorb quantization
-        error and pruning is heuristic, not strict.
-        """
-        if self.heap is not None:
-            return self.heap.worst_distance()
-        return min(
-            self.approx.worst_distance(), self.exact.worst_distance()
+            self.scorer = make_code_scorer(
+                self.query, quantizer, config.metric
+            )
+        self.state = ScanState(
+            self.k,
+            max(self.k, config.rerank_factor * self.k),
+            config.adaptive_nprobe_margin is not None,
         )
 
     def score_entry(
@@ -234,43 +219,28 @@ class _ScanTask:
         metric: str,
         margin: float | None,
     ) -> None:
-        """Fold one loaded partition into this query's heaps.
+        """Score one loaded partition into this query's state.
 
-        Exactly the serial scan's per-partition numerics: one
-        ``distances_to_one`` (or fused int8) call for this query alone,
-        then the same ``push_topk`` fold, under the task's lock.
+        Exactly the serial scan's per-partition numerics: the
+        executor's :func:`score_partition` for this query alone, its
+        slice added under the task's lock.
         """
         with self.lock:
             if self.finished or self.failed:
                 return
             if margin is not None and adaptive_skip(
-                centroid_dist, self.current_kth(), margin
+                centroid_dist, self.state.kth(), margin
             ):
                 self.skipped += 1
                 return
         if not len(entry):
             return
-        rows, matrix, dropped = _masked(entry, self.row_filter)
-        dist = None
-        if len(matrix):
-            if is_codes:
-                dist = self.scorer(matrix)
-            else:
-                dist = distances_to_one(self.query, matrix, metric)
+        scored = score_partition(
+            entry, is_codes, self.row_filter, self.query, self.scorer, metric
+        )
         with self.lock:
-            if self.finished or self.failed:
-                return
-            self.scanned += len(entry)
-            self.filtered += dropped
-            if dist is not None:
-                self.computed += len(matrix)
-                if is_codes:
-                    heap = self.approx
-                elif self.exact is not None:
-                    heap = self.exact
-                else:
-                    heap = self.heap
-                push_topk(heap, entry.asset_ids, dist, rows=rows)
+            if not (self.finished or self.failed):
+                self.state.add(entry, is_codes, scored)
 
     def partition_done(self, pid: int) -> bool:
         """Mark one probe-set partition resolved; True when last."""
@@ -508,12 +478,7 @@ class QueryScheduler:
                 task.query, task.nprobe
             )
         quantizer = self._executor.scan_quantizer()
-        task.prepare(
-            partitions,
-            quantizer,
-            self._config.rerank_factor,
-            self._config.metric,
-        )
+        task.prepare(partitions, quantizer, self._config)
         use_codes = quantizer is not None
         cold: list[tuple[int, float]] = []
         warm: list[tuple[int, float]] = []
@@ -565,7 +530,7 @@ class QueryScheduler:
     def _score_cached(
         self, task: _ScanTask, probes, use_codes: bool
     ) -> bool:
-        """Load (a cache hit, no scratch lease) and fold ``task``'s
+        """Load (a cache hit, no scratch lease) and score ``task``'s
         cache-resident probes on the launching thread, in
         centroid-distance order, with the scoring function the shared
         stage uses. True when this resolved the query's last partition
@@ -585,7 +550,7 @@ class QueryScheduler:
                 if margin is not None:
                     with task.lock:
                         skip = not task.finished and adaptive_skip(
-                            cdist, task.current_kth(), margin
+                            cdist, task.state.kth(), margin
                         )
                         task.skipped += skip
                     if skip:
@@ -688,17 +653,15 @@ class QueryScheduler:
         margin = self._config.adaptive_nprobe_margin
         with self._cv:
             for task, cdist in job.waiters:
-                # Snapshot under the task lock: worst_distance()
-                # reads — and caches into — the accumulator a compute
-                # thread may be folding a partition into.
+                # Under the task lock: a compute thread may be adding a
+                # partition to the bound being read.
                 with task.lock:
                     if task.finished:
                         continue
-                    kth = task.current_kth()
-                if margin is None or not adaptive_skip(
-                    cdist, kth, margin
-                ):
-                    return False
+                    if margin is None or not adaptive_skip(
+                        cdist, task.state.kth(), margin
+                    ):
+                        return False
             job.state = _DONE
             self._jobs.pop(job.key, None)
             waiters = list(job.waiters)
@@ -708,7 +671,7 @@ class QueryScheduler:
                 if not task.finished:
                     task.skipped += 1
             if task.partition_done(job.pid):
-                # Finalize (SQ8 rerank I/O + merges) belongs on the
+                # Finalize (SQ8 rerank I/O + the cut) belongs on the
                 # compute pool — this path runs on a shared io thread,
                 # which must get back to other queries' loads.
                 self._compute_pool.submit(self._finalize_task, task)
@@ -827,31 +790,24 @@ class QueryScheduler:
 
     def _build_result(self, task: _ScanTask) -> SearchResult:
         executor = self._executor
-        reranked = 0
-        if task.quantizer is not None:
-            with self._engine.scan_session():
-                rerank_heap, reranked = executor.rerank_candidates(
-                    merge_topk([task.approx], task.rerank_pool),
-                    task.query,
-                    task.k,
-                )
-            heaps = [rerank_heap, task.exact]
-            # The rerank point-fetch is this query's alone; charge it
-            # with the same formula the engine's accountant uses.
-            task.bytes_read += reranked * (
-                4 * self._config.dim + _ROW_OVERHEAD_BYTES
-            )
-        else:
-            heaps = [task.heap]
-        neighbors = executor.finalize_heaps(heaps, task.k)
+        state = task.state
+        # The rerank point-fetch is storage work: under the purge guard.
+        with self._engine.scan_session() if state.approx else nullcontext():
+            merged, reranked = executor.finish_scan(state, task.query)
+        # That fetch is this query's alone; charge it with the same
+        # formula the engine's accountant uses.
+        task.bytes_read += reranked * (
+            4 * self._config.dim + _ROW_OVERHEAD_BYTES
+        )
+        neighbors = surfaced_neighbors(merged, self._config.metric)
         now = time.perf_counter()
         stats = QueryStats(
             plan=task.plan,
             nprobe=task.nprobe,
             partitions_scanned=task.num_selected - task.skipped,
-            vectors_scanned=task.scanned,
-            distance_computations=task.computed + reranked,
-            rows_filtered=task.filtered,
+            vectors_scanned=state.scanned,
+            distance_computations=state.computed + reranked,
+            rows_filtered=state.filtered,
             cache_hits=task.cache_hits,
             cache_misses=task.cache_misses,
             bytes_read=task.bytes_read,

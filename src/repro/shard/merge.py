@@ -4,10 +4,10 @@ Every read on a :class:`~repro.shard.ShardedMicroNN` fans out to all
 shards and comes back through here. Two jobs:
 
 1. **Top-k merge.** Each shard returns its own ranked top-k; the
-   global top-k is :func:`repro.query.heap.merge_topk` over them — the
-   *same* function the unsharded executor merges its per-worker
-   accumulators with — so the sharded ordering contract is the
-   unsharded one by construction: rank by ``(distance, asset_id)``,
+   global top-k is :func:`repro.query.heap.rank_scored` over them — the
+   *same* cut the unsharded executor makes over its scored partitions —
+   so the sharded ordering contract is the unsharded one by
+   construction: rank by ``(distance, asset_id)``,
    ties broken lexicographically on the id.
    Shards partition the id space disjointly (hash routing), so no
    cross-shard duplicates exist; the merge's dedup is kept anyway as a
@@ -39,6 +39,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.types import (
     BatchSearchResult,
     BuildReport,
@@ -50,7 +52,7 @@ from repro.core.types import (
     QueryStats,
     SearchResult,
 )
-from repro.query.heap import TopKHeap, merge_topk, neighbors, push_topk
+from repro.query.heap import neighbors, rank_scored
 
 #: Severity order of maintenance actions; aggregation and the
 #: facade's ``recommended_action`` both report the heaviest.
@@ -87,18 +89,16 @@ def merge_neighbors(
 ) -> tuple[Neighbor, ...]:
     """Merge per-shard neighbor lists into the global top-k.
 
-    A list may be longer than ``k`` and may repeat an id, so the
-    accumulator is sized to the input: nothing is cut before
-    :func:`merge_topk` has de-duplicated.
+    A list may be longer than ``k`` and may repeat an id: the cut sees
+    every row and keeps each id's closest occurrence.
     """
-    heap = TopKHeap(max(1, sum(len(hits) for hits in per_shard)))
-    for hits in per_shard:
-        push_topk(
-            heap,
-            [n.asset_id for n in hits],
-            [n.distance for n in hits],
-        )
-    asset_ids, distances = merge_topk([heap], k)
+    hits = [n for shard in per_shard for n in shard]
+    asset_ids, distances = rank_scored(
+        np.array([n.distance for n in hits], dtype=np.float64),
+        np.zeros(1, dtype=np.int64),
+        [[n.asset_id for n in hits]],
+        k,
+    )
     return neighbors(asset_ids, distances.tolist())
 
 

@@ -1,18 +1,12 @@
-"""Property-based tests for the top-K accumulator machinery.
+"""Property-based tests for the top-K cut and its running bound.
 
-The accumulators are the correctness core of Algorithm 2: any bug here
-silently corrupts every search result, so one oracle pins
-``push_topk`` / ``merge_topk`` / ``surfaced_neighbors`` against a
-trivial dict-and-sort under arbitrary chunkings.
-
-The object-heap suite this replaces is covered as follows:
-``test_heap_keeps_k_smallest``, ``test_sharded_merge_equals_global_topk``,
-``test_merge_invariant_to_sharding`` and
-``TestVectorizedTopK::test_matches_heap_path`` are all instances of
-``test_accumulators_match_oracle`` (any chunking, any split across
-accumulators, against the global sort); ``test_heap_size_bounded`` and
-``test_worst_distance_is_admission_threshold`` are its per-push
-``len`` / ``worst_distance`` checks.
+The cut is the correctness core of Algorithm 2: any bug here silently
+corrupts every search result, so one plain oracle — sort by
+``(distance, asset_id)``, keep each id's first occurrence, take K —
+pins :func:`rank_slices`, the chunk collector's ``merge_topk`` and
+``surfaced_neighbors`` under arbitrary chunkings, ids repeating within
+and across chunks. :class:`KthBound`, adaptive admission's running
+K-th distance, is checked after every offer.
 """
 
 from __future__ import annotations
@@ -23,9 +17,11 @@ from hypothesis import strategies as st
 
 from repro.query.distance import surface_distance
 from repro.query.heap import (
+    KthBound,
     TopKHeap,
     merge_topk,
     push_topk,
+    rank_slices,
     surfaced_neighbors,
 )
 
@@ -62,15 +58,9 @@ def chunk(draw, part):
 
 
 @st.composite
-def accumulator_input(draw, unique_ids: bool):
-    """The chunks offered to one accumulator, randomly cut."""
-    pairs = draw(
-        st.lists(
-            scored_ids,
-            max_size=120,
-            unique_by=(lambda pair: pair[0]) if unique_ids else None,
-        )
-    )
+def chunked(draw):
+    """Scored rows, ids repeating anywhere, randomly cut into chunks."""
+    pairs = draw(st.lists(scored_ids, max_size=120))
     chunks = []
     while pairs:
         size = draw(st.integers(min_value=1, max_value=len(pairs)))
@@ -79,73 +69,71 @@ def accumulator_input(draw, unique_ids: bool):
     return chunks
 
 
-#: (sized_to_input, chunks per accumulator). An accumulator of capacity
-#: K ranks rows, not ids — K copies of one id fill it — so ids may
-#: repeat *inside* one only when it is sized to its input (what
-#: ``merge_neighbors`` does, leaving the cut to the de-duplicating
-#: merge). Across accumulators ids repeat either way.
-scenarios = st.booleans().flatmap(
-    lambda sized: st.tuples(
-        st.just(sized),
-        st.lists(
-            accumulator_input(unique_ids=not sized), min_size=1, max_size=4
-        ),
-    )
-)
-
-
 def oracle(offered: list[tuple[str, float]], k: int):
-    """Global sort on (distance, id), each id's closest occurrence."""
+    """Sorted by (distance, id), each id's first occurrence, first K."""
     best: dict[str, float] = {}
-    for asset_id, dist in offered:
-        if asset_id not in best or dist < best[asset_id]:
-            best[asset_id] = dist
-    return sorted(best.items(), key=lambda kv: (kv[1], kv[0]))[:k]
+    for dist, asset_id in sorted((d, a) for a, d in offered):
+        best.setdefault(asset_id, dist)
+    return list(best.items())[:k]
 
 
 class TestAccumulatorAgainstOracle:
     @given(
-        scenarios,
+        st.lists(chunked(), min_size=1, max_size=4),
         st.integers(min_value=1, max_value=30),
         st.sampled_from(["l2", "cosine", "dot"]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_accumulators_match_oracle(self, scenario, k, metric):
-        sized_to_input, inputs = scenario
+    def test_accumulators_match_oracle(self, inputs, k, metric):
+        """The one cut over every chunk, and the chunk collector's
+        merge across any split of them into heaps, equal the oracle."""
         offered: list[tuple[str, float]] = []
-        # ``heaps`` are asked for their threshold after every push,
-        # which tightens their pruning bound; ``unprobed`` twins prune
-        # on the bound their own compactions left behind.
-        heaps, unprobed = [], []
+        heaps = []
         for chunks in inputs:
-            total = sum(len(dist) for _, dist, _ in chunks)
-            capacity = max(1, total) if sized_to_input else k
-            heap = TopKHeap(capacity)
+            heap = TopKHeap(k)
             heaps.append(heap)
-            unprobed.append(TopKHeap(capacity))
-            seen: list[float] = []
             for ids, dist, rows in chunks:
                 push_topk(heap, ids, dist, k, rows)
-                push_topk(unprobed[-1], ids, dist, k, rows)
                 picked = ids if rows is None else [ids[r] for r in rows]
                 offered.extend(zip(picked, dist.tolist()))
-                # The admission threshold is the exact capacity-th
-                # smallest distance offered so far, +inf below that.
-                seen = sorted(seen + dist.tolist())
-                assert heap.worst_distance() == (
-                    seen[capacity - 1]
-                    if len(seen) >= capacity
-                    else float("inf")
-                )
-                assert len(heap) == min(len(seen), capacity)
 
         expected = oracle(offered, k)
-        merged_ids, merged_dist = merge_topk(heaps, k)
+        slices = [
+            (ids, rows, dist)
+            for chunks in inputs
+            for ids, dist, rows in chunks
+        ]
+        merged_ids, merged_dist = rank_slices(slices, k)
         assert list(zip(merged_ids, merged_dist.tolist())) == expected
-        quiet_ids, quiet_dist = merge_topk(unprobed, k)
-        assert list(zip(quiet_ids, quiet_dist.tolist())) == expected
+        heap_ids, heap_dist = merge_topk(heaps, k)
+        assert list(zip(heap_ids, heap_dist.tolist())) == expected
 
         neighbors = surfaced_neighbors((merged_ids, merged_dist), metric)
         assert [(n.distance, n.asset_id) for n in neighbors] == sorted(
             (surface_distance(d, metric), a) for a, d in expected
         )
+
+
+class TestKthBound:
+    @given(
+        st.lists(
+            st.lists(st.one_of(tied_distances, any_distances), max_size=40),
+            max_size=8,
+        ),
+        st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_kth_smallest_offered(self, offers, k):
+        """After every offer the bound is the K-th smallest distance
+        offered so far, +inf below K rows."""
+        bound = KthBound(k)
+        offered = np.empty(0, dtype=np.float32)
+        for values in offers:
+            dist = np.array(values, dtype=np.float32)
+            bound.offer(dist)
+            offered = np.concatenate([offered, dist])
+            assert bound.value == (
+                float(np.sort(offered)[k - 1])
+                if len(offered) >= k
+                else float("inf")
+            )

@@ -1,18 +1,11 @@
-"""Parity of the one-cut warm scan core with the accumulator path.
+"""Parity of the one-cut scan core with a plain Python oracle.
 
-A warm query scores its whole probe set into one distance array and
-cuts it once (``QueryExecutor._scan_partitions`` over resident entries,
-``_score_cut``, :func:`repro.query.heap.rank_scored`). Every other scan
-loop folds partitions one at a time into :class:`TopKHeap`
-accumulators, merged by :func:`merge_topk`. Fed the same rows, the two
-must return the same ids and bit-identical distances, before and after
-surfacing.
-
-The reference accumulator is sized to its input whenever an id repeats:
-an accumulator of capacity K ranks rows, not ids, so K copies of one
-id can fill it and prune the K-th distinct id before the merge
-de-duplicates (see ``tests/property/test_heap_properties.py``). The
-one-cut core sees every row and has no such gap.
+Every scan scores its partitions into slices and cuts them once
+(``QueryExecutor._scan_partitions``, :func:`repro.query.heap.rank_scored`).
+Fed the same rows, the cut must return what the oracle returns — sort
+every row by ``(distance, asset_id)``, keep each id's first occurrence,
+take K — with the same ids and bit-identical distances, before and
+after surfacing.
 """
 
 from __future__ import annotations
@@ -29,13 +22,7 @@ from repro.core.config import DELTA_PARTITION_ID
 from repro.query import executor as executor_module
 from repro.query.distance import distances_to_one
 from repro.query.executor import _masked
-from repro.query.heap import (
-    TopKHeap,
-    merge_topk,
-    push_topk,
-    rank_scored,
-    surfaced_neighbors,
-)
+from repro.query.heap import rank_scored, surfaced_neighbors
 from repro.storage.cache import CachedPartition
 
 DIM = 4
@@ -102,18 +89,22 @@ def scored_sources(draw):
 
 
 def reference(sources, k: int):
-    """The accumulator path over the same rows."""
-    offered = [
-        ids[r]
+    """The oracle over the same rows: sorted by ``(distance,
+    asset_id)``, each id's first occurrence, the first K."""
+    ranked = sorted(
+        (d, ids[r])
         for ids, dist, rows in sources
-        for r in (range(len(dist)) if rows is None else rows)
-    ]
-    total = sum(len(dist) for _, dist, _ in sources)
-    repeats = len(set(offered)) < len(offered)
-    heap = TopKHeap(max(1, total) if repeats else k)
-    for ids, dist, rows in sources:
-        push_topk(heap, ids, dist, k, rows)
-    return merge_topk([heap], k)
+        for r, d in zip(
+            range(len(dist)) if rows is None else rows, dist.tolist()
+        )
+    )
+    best: dict[str, float] = {}
+    for d, asset_id in ranked:
+        best.setdefault(asset_id, d)
+    top = list(best.items())[:k]
+    return [a for a, _ in top], np.array(
+        [d for _, d in top], dtype=np.float32
+    )
 
 
 class TestRankScored:
@@ -146,7 +137,8 @@ class TestRankScored:
 
     def test_sqrt_collapse_resorts_on_id(self):
         """Two entries whose internal values differ but both surface
-        to 0.0 rank by asset id after surfacing, on both paths."""
+        to 0.0 rank by asset id after surfacing, cut and oracle
+        alike."""
         sources = [
             (["zz"], np.array([-2e-7], np.float32), None),
             (["aa"], np.array([-1e-7], np.float32), None),

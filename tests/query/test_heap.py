@@ -1,15 +1,10 @@
-"""Array-native top-K accumulator and merge tests.
+"""The top-K cut, its chunk collector, and surfacing.
 
-Ported from the object-heap suite behaviour for behaviour. Tests that
-named a removed method are covered as follows:
-
-- ``test_push_returns_retained`` (``TopKHeap.push``'s return value is
-  gone with the method): retention is observable through
-  ``worst_distance`` — ``test_worst_distance_threshold`` — and the
-  merged result — ``test_keeps_k_smallest``.
-- ``TestTopKFromDistances`` (``topk_from_distances`` is gone): the
-  same five cases run through ``push_topk`` + ``merge_topk`` in
-  ``TestPushTopK``.
+``TestMergeTopK`` pins the merge contract — ranking, de-duplication,
+the widening cut — on :func:`rank_scored`, the one cut every scan
+makes. ``TestTopKHeap`` and ``TestPushTopK`` cover the chunk collector
+kept over the same cut. The running K-th bound adaptive admission reads
+is checked by ``tests/property/test_heap_properties.py``.
 """
 
 import numpy as np
@@ -17,10 +12,10 @@ import pytest
 
 from repro.query.distance import surface_distance
 from repro.query.heap import (
-    _COMPACT_FACTOR,
     TopKHeap,
     merge_topk,
     push_topk,
+    rank_scored,
     surfaced_neighbors,
 )
 
@@ -34,6 +29,15 @@ def ranked(heaps, k):
     return list(zip(dist.tolist(), ids))
 
 
+def cut(slices, k):
+    """:func:`rank_scored` over ``(asset_ids, distances)`` slices, as
+    ``(distance, asset_id)`` pairs."""
+    starts = np.cumsum([0, *(len(d) for _, d in slices)])[:-1]
+    dist = np.concatenate([np.asarray(d, dtype=np.float32) for _, d in slices])
+    ids, ranked_dist = rank_scored(dist, starts, [i for i, _ in slices], k)
+    return list(zip(ranked_dist.tolist(), ids))
+
+
 class TestTopKHeap:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -44,19 +48,6 @@ class TestTopKHeap:
         for i, d in enumerate([5.0, 1.0, 4.0, 2.0, 3.0]):
             push(heap, f"a{i}", d)
         assert [d for d, _ in ranked([heap], 3)] == [1.0, 2.0, 3.0]
-
-    def test_worst_distance_threshold(self):
-        heap = TopKHeap(2)
-        assert heap.worst_distance() == float("inf")
-        push(heap, "a", 1.0)
-        assert heap.worst_distance() == float("inf")  # not yet full
-        push(heap, "b", 3.0)
-        assert heap.worst_distance() == 3.0
-        push(heap, "c", 2.0)
-        assert heap.worst_distance() == 2.0
-        push(heap, "d", 9.0)  # worse than both: not retained
-        assert heap.worst_distance() == 2.0
-        assert [a for _, a in ranked([heap], 2)] == ["a", "c"]
 
     def test_deterministic_ties(self):
         heap = TopKHeap(3)
@@ -78,80 +69,59 @@ class TestTopKHeap:
         push(heap, "b", 2.0)
         assert len(heap) == 2
 
-    def test_compaction_bounds_retained_rows(self, rng):
-        """Retained rows stay O(K + one partition) however many
-        partitions are folded in, and compaction never loses a winner."""
-        heap = TopKHeap(5)
-        pairs = []
-        for part in range(40):
-            dist = rng.uniform(0, 100, size=30).astype(np.float32)
-            ids = [f"p{part:02d}-{i:02d}" for i in range(30)]
-            push_topk(heap, ids, dist, 5)
-            pairs.extend(zip(dist.tolist(), ids))
-            retained = sum(len(d) for _, d, _ in heap._chunks)
-            assert retained <= _COMPACT_FACTOR * 5 + 30
-        assert ranked([heap], 5) == sorted(pairs)[:5]
-
     def test_retained_view_is_copied(self):
-        """An accumulator owns what it retains: folding a row of a 2-D
-        array (fewer than K rows, so nothing is cut) must not keep a
-        view that pins — and follows — the parent."""
+        """The collector owns what it holds: collecting a row of a 2-D
+        array must not keep a view that pins — and follows — the
+        parent."""
         parent = np.array(
             [[3.0, 1.0, 2.0], [9.0, 9.0, 9.0]], dtype=np.float32
         )
         heap = TopKHeap(10)
         push_topk(heap, ["a", "b", "c"], parent[0], 10)
-        assert all(d.base is None for _, d, _ in heap._chunks)
+        assert all(d.base is None for _, _, d in heap._chunks)
         parent[:] = -1.0
         assert ranked([heap], 10) == [(1.0, "b"), (2.0, "c"), (3.0, "a")]
 
 
 class TestMergeTopK:
     def test_merge_two_heaps(self):
-        h1, h2 = TopKHeap(3), TopKHeap(3)
-        push_topk(h1, ["x0", "x1", "x2"], np.array([1.0, 3.0, 5.0]))
-        push_topk(h2, ["y0", "y1", "y2"], np.array([2.0, 4.0, 6.0]))
-        assert [d for d, _ in ranked([h1, h2], 4)] == [1.0, 2.0, 3.0, 4.0]
+        slices = [
+            (["x0", "x1", "x2"], [1.0, 3.0, 5.0]),
+            (["y0", "y1", "y2"], [2.0, 4.0, 6.0]),
+        ]
+        assert [d for d, _ in cut(slices, 4)] == [1.0, 2.0, 3.0, 4.0]
 
     def test_merge_dedupes_asset_ids(self):
-        h1, h2 = TopKHeap(2), TopKHeap(2)
-        push(h1, "same", 1.0)
-        push(h2, "same", 2.0)
-        push(h2, "other", 3.0)
+        slices = [(["same"], [1.0]), (["same", "other"], [2.0, 3.0])]
         # Kept the closer copy.
-        assert ranked([h1, h2], 3) == [(1.0, "same"), (3.0, "other")]
+        assert cut(slices, 3) == [(1.0, "same"), (3.0, "other")]
 
     def test_dedupe_widens_the_cut(self):
         """When de-duplication empties slots of the distance cut, the
         cut widens to rows beyond it instead of returning short."""
-        heap = TopKHeap(8)
-        push_topk(
-            heap,
-            ["a", "a", "a", "b", "c"],
-            np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-        )
-        assert ranked([heap], 2) == [(1.0, "a"), (4.0, "b")]
-        assert ranked([heap], 3) == [(1.0, "a"), (4.0, "b"), (5.0, "c")]
+        slices = [(["a", "a", "a", "b", "c"], [1.0, 2.0, 3.0, 4.0, 5.0])]
+        assert cut(slices, 2) == [(1.0, "a"), (4.0, "b")]
+        assert cut(slices, 3) == [(1.0, "a"), (4.0, "b"), (5.0, "c")]
 
     def test_merge_empty_heaps(self):
-        ids, dist = merge_topk([TopKHeap(2), TopKHeap(2)], 5)
+        ids, dist = rank_scored(
+            np.empty(0, np.float32), np.array([0, 0]), [[], []], 5
+        )
         assert ids == [] and dist.shape == (0,)
 
     def test_merge_invalid_k(self):
         with pytest.raises(ValueError):
-            merge_topk([], 0)
+            rank_scored(np.empty(0, np.float32), np.array([0]), [[]], 0)
 
     def test_merge_matches_global_sort(self, rng):
-        heaps = []
+        slices = []
         all_pairs = []
         for t in range(4):
-            heap = TopKHeap(10)
-            for i in range(30):
-                d = float(rng.uniform(0, 100))
-                push(heap, f"t{t}-{i}", d)
-                all_pairs.append((d, f"t{t}-{i}"))
-            heaps.append(heap)
-        assert ranked(heaps, 10) == sorted(all_pairs)[:10]
+            ids = [f"t{t}-{i}" for i in range(30)]
+            dist = rng.uniform(0, 100, size=30).astype(np.float32)
+            slices.append((ids, dist))
+            all_pairs.extend(zip(dist.tolist(), ids))
+        assert cut(slices, 10) == sorted(all_pairs)[:10]
 
 
 class TestPushTopK:
@@ -201,11 +171,11 @@ class TestPushTopK:
         assert ranked([heap], 2) == [(1.0, "c"), (2.0, "d")]
 
     def test_k_argument_does_not_change_the_cut(self):
-        """``k`` is accepted for the call shape; the accumulator's
-        capacity decides."""
+        """``k`` is accepted for the call shape; the merge's ``k``
+        decides."""
         heap = TopKHeap(3)
         push_topk(heap, list("abcde"), np.arange(5.0), 1)
-        assert heap.worst_distance() == 2.0
+        assert [a for _, a in ranked([heap], 5)] == list("abcde")
 
 
 class TestSurfacedNeighbors:

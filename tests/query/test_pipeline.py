@@ -377,7 +377,8 @@ class TestEngagement:
     ):
         """One miss must not cost a big scan its multi-core scoring:
         the misses load -> score -> drop on this thread, the hits go
-        to the worker pool as in a warm scan. Same bits either way."""
+        to the worker pool's fill as in a warm scan. Same bits either
+        way."""
         vectors = clustered(rng, 400, 16)
         config = dataclasses.replace(
             make_config(quantization, 2),
@@ -390,15 +391,16 @@ class TestEngagement:
             queries = vectors[:5]
             want = [db.search(q, k=10, nprobe=8) for q in queries]  # warm
             executor = db._executor
+            # Partitions per pool fill (one map over the hits' slices).
             shards_scored: list[int] = []
-            fan_out = executor._fan_out
+            worker_pool = executor._worker_pool
 
-            def spy(work, scan):
-                heaps = fan_out(work, scan)
-                shards_scored.append(len(heaps))
-                return heaps
+            class FillSpy:
+                def map(self, fill, work, slices):
+                    shards_scored.append(len(work))
+                    return worker_pool().map(fill, work, slices)
 
-            monkeypatch.setattr(executor, "_fan_out", spy)
+            monkeypatch.setattr(executor, "_worker_pool", FillSpy)
             monkeypatch.setattr(
                 "repro.query.executor._PARALLEL_SCAN_ELEMENTS", 1
             )

@@ -5,7 +5,9 @@ call (``StorageEngine.resident_entries``) instead of one
 ``load_partition`` per probe. It must leave every counter exactly where
 the per-probe loads leave it — query stats, the hot-load counter, the
 workload heatmap — serve a quarantined probe as empty, and serve an
-entry a write has patched as the rows a fresh load returns.
+entry a write has patched as the rows a fresh load returns. An id held
+by both a partition and the delta leaves K distinct neighbours on every
+scan path, this one and the others alike.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import MicroNN, MicroNNConfig
+from repro import MicroNN, MicroNNConfig, ShardedMicroNN
 from repro.storage.cache import CachedPartition
 
 K = 10
@@ -75,6 +77,48 @@ def stats_of(result) -> tuple:
         s.distance_computations,
         s.partitions_quarantined,
     )
+
+
+#: Scan paths an id in both a partition and the delta is checked on.
+SCAN_PATHS = (
+    "resident",
+    "cold_serial",
+    "pipelined",
+    "sq8",
+    "search_batch",
+    "search_async",
+    "sharded",
+)
+DUP_K = 3
+
+
+def dup_database(rng, path: str):
+    """A built, fully cached collection (sq8, or two shards, by
+    ``path``) whose delta holds ``10 * DUP_K`` rows a small step apart
+    on a line from ``a0007``'s vector, and that vector as the query."""
+    centers = rng.normal(size=(8, 16)).astype(np.float32) * 4
+    vectors = (
+        centers[rng.integers(0, 8, 600)] + rng.normal(size=(600, 16))
+    ).astype(np.float32)
+    query = vectors[7]
+    config = MicroNNConfig(
+        dim=16,
+        target_cluster_size=40,
+        quantization="sq8" if path == "sq8" else "none",
+    )
+    if path == "sharded":
+        db = ShardedMicroNN.open(config=config, shards=2)
+    else:
+        db = MicroNN.open(config=config)
+    db.upsert_batch((f"a{i:04d}", v) for i, v in enumerate(vectors))
+    db.build_index()
+    step = np.zeros(16, dtype=np.float32)
+    step[0] = 0.05
+    db.upsert_batch(
+        (f"n{i:02d}", query + step * (i + 1)) for i in range(10 * DUP_K)
+    )
+    db.search(query, k=DUP_K, nprobe=10**6)  # caches every partition
+    return db, query
 
 
 class TestResidentAccounting:
@@ -165,39 +209,78 @@ class TestResidentAccounting:
         assert result.neighbors == db.search(query, k=K, exact=True).neighbors
         assert db.search(moved, k=1, nprobe=10**6).asset_ids == ("a0007",)
 
+    @pytest.mark.parametrize("path", SCAN_PATHS)
     def test_an_id_in_a_partition_and_the_delta_leaves_k_distinct(
-        self, warm_db, monkeypatch
+        self, rng, monkeypatch, path
     ):
-        """The one cut ranks every row and keeps each id once, so an id
+        """Every scan ranks every row and keeps each id once, so an id
         resident in both a partition and the delta still leaves K
-        distinct neighbours. (A capacity-K accumulator ranks rows: when
-        it compacts, the two copies can take two of its K slots and
-        prune the K-th distinct id. This pins the one-cut behaviour
-        against being matched to that.)
+        distinct neighbours on every path. (A capacity-K accumulator
+        ranks rows: the delta's near rows make it compact once both
+        copies are in, the two copies take two of its K slots, and the
+        K-th distinct id is pruned.)
         """
-        db, vectors = warm_db
-        engine = db.engine
-        query = vectors[7]
-        delta = engine.cache.get(-1)
-        assert engine.cache.put(
-            CachedPartition(
-                partition_id=-1,
-                asset_ids=delta.asset_ids + ("a0007",),
-                vector_ids=delta.vector_ids + (10**6,),
-                matrix=np.vstack([delta.matrix, query]),
+        db, query = dup_database(rng, path)
+        with db:
+            shard = db
+            if path == "sharded":
+                shard = next(
+                    s
+                    for s in db.shards
+                    if s.engine.get_partition_of("a0007") is not None
+                )
+            engine = shard.engine
+            delta = engine.cache.get(-1)
+            assert engine.cache.put(
+                CachedPartition(
+                    partition_id=-1,
+                    asset_ids=delta.asset_ids + ("a0007",),
+                    vector_ids=delta.vector_ids + (10**6,),
+                    matrix=np.vstack([delta.matrix, query]),
+                )
             )
-        )
-        calls = []
-        resident = engine.resident_entries
-        monkeypatch.setattr(
-            engine,
-            "resident_entries",
-            lambda pids: calls.append(r := resident(pids)) or r,
-        )
-        result = db.search(query, k=K, nprobe=10**6)
-        assert calls[-1] is not None  # the one-cut warm path ran
-        copies = [e for e in calls[-1] if "a0007" in e.asset_ids]
-        assert len(copies) == 2
-        assert len(set(result.asset_ids)) == len(result) == K
-        assert result.asset_ids[0] == "a0007"
-        assert result.neighbors == db.search(query, k=K, exact=True).neighbors
+            if path in ("cold_serial", "pipelined"):
+                owner = engine.get_partition_of("a0007")
+                victim = max(
+                    pid for pid in engine.partition_sizes() if pid != owner
+                )
+                engine.cache.invalidate(victim)
+            if path == "pipelined":
+                monkeypatch.setattr(
+                    "repro.query.executor.pipeline_engages",
+                    lambda *args: True,
+                )
+            calls = []
+            resident = engine.resident_entries
+            monkeypatch.setattr(
+                engine,
+                "resident_entries",
+                lambda pids: calls.append(r := resident(pids)) or r,
+            )
+            if path == "search_batch":
+                batch = db.search_batch([query], k=DUP_K, nprobe=10**6)
+                result = batch.results[0]
+            elif path == "search_async":
+                result = db.search_async(
+                    query, k=DUP_K, nprobe=10**6
+                ).result()
+            else:
+                result = db.search(query, k=DUP_K, nprobe=10**6)
+            if path == "resident":
+                assert calls[-1] is not None  # the one-cut warm path ran
+                copies = [e for e in calls[-1] if "a0007" in e.asset_ids]
+                assert len(copies) == 2
+            if path in ("cold_serial", "pipelined"):
+                assert result.stats.cache_misses == 1
+                assert result.stats.scan_pipelined == (path == "pipelined")
+            assert len(set(result.asset_ids)) == len(result) == DUP_K
+            assert result.asset_ids[0] == "a0007"
+            exact = db.search(query, k=DUP_K, exact=True)
+            assert result.asset_ids == exact.asset_ids
+            if path == "search_batch":  # GEMM: distances to tolerance
+                np.testing.assert_allclose(
+                    result.distances, exact.distances, atol=1e-3
+                )
+            else:
+                assert result.distances == exact.distances
+
