@@ -306,19 +306,23 @@ class MicroNN:
     def _maintain_index(
         self, force: MaintenanceAction | None
     ) -> MaintenanceReport:
-        action = force or self._monitor.recommend()
+        # One partition-size scan serves the recommendation, the flush
+        # and both of its reports.
+        sizes = self._engine.partition_sizes()
+        action = force or self._monitor.recommend(sizes)
         if action is MaintenanceAction.NONE:
+            stats = self._monitor.stats(sizes)
             return MaintenanceReport(
                 action=MaintenanceAction.NONE,
-                stats_before=self._monitor.stats(),
-                stats_after=self._monitor.stats(),
+                stats_before=stats,
+                stats_after=stats,
             )
         if action is MaintenanceAction.INCREMENTAL_FLUSH:
-            report = self._maintainer.flush()
+            report = self._maintainer.flush(sizes)
             self._invalidate_estimates()
             return report
         start = time.perf_counter()
-        stats_before = self._monitor.stats()
+        stats_before = self._monitor.stats(sizes)
         rows_before = self._engine.accountant.rows_written
         self.build_index()
         return MaintenanceReport(

@@ -134,8 +134,11 @@ class IndexMonitor:
             ),
         )
 
-    def recommend(self) -> MaintenanceAction:
-        """Decide what maintenance, if any, the index needs now.
+    def recommend(
+        self, sizes: Mapping[int, int] | None = None
+    ) -> MaintenanceAction:
+        """Decide what maintenance, if any, the index needs now
+        (``sizes``: the partition sizes, as :meth:`stats` takes them).
 
         A full rebuild is recommended when folding the current delta
         into the index would push the average partition size past the
@@ -143,7 +146,7 @@ class IndexMonitor:
         incremental flush when the delta backlog alone crossed its
         threshold; otherwise nothing.
         """
-        stats = self.stats()
+        stats = self.stats(sizes)
         if stats.total_vectors == 0:
             return MaintenanceAction.NONE
         if stats.num_partitions == 0:
@@ -173,16 +176,23 @@ class IncrementalMaintainer:
         self._delta = DeltaStore(engine)
         self._monitor = IndexMonitor(engine, config)
 
-    def flush(self) -> MaintenanceReport:
+    def flush(
+        self, sizes: Mapping[int, int] | None = None
+    ) -> MaintenanceReport:
         """Assign every delta vector to its nearest partition.
 
         Centroids of the receiving partitions are updated with the
         running mean of their new content so later queries and flushes
         see centroids that reflect what the partitions actually hold.
+        ``sizes`` are the partition sizes if the caller just read them;
+        the report's ``stats_after`` adds the moves to them instead of
+        reading them again.
         """
         engine = self._engine
         start = time.perf_counter()
-        counts = engine.partition_sizes()
+        counts = dict(
+            engine.partition_sizes() if sizes is None else sizes
+        )
         stats_before = self._monitor.stats(counts)
         rows_before = engine.accountant.rows_written
 
@@ -257,7 +267,9 @@ class IncrementalMaintainer:
             if auditor is not None:
                 auditor.reset_window()
 
-        stats_after = self._monitor.stats()
+        # ``working`` holds each receiving partition's size after it.
+        counts.update((pid, count) for pid, (_, count) in working.items())
+        stats_after = self._monitor.stats(counts)
         return MaintenanceReport(
             action=MaintenanceAction.INCREMENTAL_FLUSH,
             vectors_flushed=len(moves),

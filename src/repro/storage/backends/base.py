@@ -38,7 +38,7 @@ import sqlite3
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -92,6 +92,15 @@ class PartitionPayload:
     def __len__(self) -> int:
         return len(self.asset_ids)
 
+    @classmethod
+    def of_entry(cls, entry) -> "PartitionPayload":
+        """A decoded partition entry (ids, vector ids, matrix) viewed
+        as the payload a read of the same rows returns: the matrix's
+        bytes are the joined row payloads."""
+        return cls(
+            entry.asset_ids, entry.vector_ids, memoryview(entry.matrix), 0
+        )
+
 
 #: Little-endian int64: how vector ids are stored in packed id arrays
 #: and the width each one is checksummed at.
@@ -104,8 +113,9 @@ def payload_checksum(payload: PartitionPayload) -> int:
     Covers the ids as well as the stored bytes, so a flipped byte in a
     packed asset-id array is caught just like one in the vector
     payload. Computed from the SAME object ``read_partition`` returns,
-    so write-side stamping (which re-reads through the same method)
-    and read-side verification agree by construction within a backend.
+    or from a decoded entry of the same rows viewed as one
+    (:meth:`PartitionPayload.of_entry`), so write-side stamping and
+    read-side verification agree by construction within a backend.
 
     CRC32 chains over concatenation, so three calls over the joined
     UTF-8 ids, the ``<i8`` vector-id array and the payload buffer give
@@ -333,6 +343,7 @@ class StorageBackend(abc.ABC):
             CHECKSUM_KIND_VECTORS,
             CHECKSUM_KIND_CODES,
         ),
+        planned: Mapping[str, Mapping[int, object]] | None = None,
     ) -> None:
         """Recompute and store the CRCs of the given partitions.
 
@@ -342,6 +353,13 @@ class StorageBackend(abc.ABC):
         partition that still has a stale checksum row. The delta
         partition is never checksummed: every upsert rewrites it, and
         its scans are always full-precision and reranked exactly.
+
+        ``planned`` maps a checksum kind to the post-write entries the
+        caller has at hand (the cache's planned patch: each holds the
+        rows a fresh read returns once the write commits). A partition
+        with one is stamped from the post-write copy at hand; only the
+        others are re-read. :func:`payload_checksum` computes every
+        stamp either way.
         """
         from repro.core.config import DELTA_PARTITION_ID
 
@@ -351,21 +369,21 @@ class StorageBackend(abc.ABC):
         else:
             pids = {int(p) for p in partition_ids}
         pids.discard(DELTA_PARTITION_ID)
+        reads = []
+        if CHECKSUM_KIND_VECTORS in kinds:
+            reads.append((CHECKSUM_KIND_VECTORS, self.read_partition))
+        if CHECKSUM_KIND_CODES in kinds and use_quantization:
+            reads.append((CHECKSUM_KIND_CODES, self.read_partition_codes))
+        planned = planned or {}
         for pid in sorted(pids):
-            if CHECKSUM_KIND_VECTORS in kinds:
-                self._stamp_checksum(
-                    conn,
-                    pid,
-                    CHECKSUM_KIND_VECTORS,
-                    self.read_partition(conn, pid),
+            for kind, read in reads:
+                entry = planned.get(kind, {}).get(pid)
+                payload = (
+                    read(conn, pid)
+                    if entry is None
+                    else PartitionPayload.of_entry(entry)
                 )
-            if CHECKSUM_KIND_CODES in kinds and use_quantization:
-                self._stamp_checksum(
-                    conn,
-                    pid,
-                    CHECKSUM_KIND_CODES,
-                    self.read_partition_codes(conn, pid),
-                )
+                self._stamp_checksum(conn, pid, kind, payload)
 
     def _stamp_checksum(
         self,

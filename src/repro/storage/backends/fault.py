@@ -38,7 +38,11 @@ import threading
 from dataclasses import dataclass
 
 from repro.core.errors import SimulatedCrash
-from repro.storage.backends.base import StorageBackend
+from repro.storage.backends.base import (
+    CHECKSUM_KIND_CODES,
+    CHECKSUM_KIND_VECTORS,
+    StorageBackend,
+)
 
 #: Registry-name prefix selecting this wrapper.
 FAULT_PREFIX = "fault:"
@@ -369,16 +373,16 @@ class FaultInjectingBackend(StorageBackend):
         return self._inner.checksummed_partitions(conn)
 
     def refresh_checksums(
-        self, conn, partition_ids, use_quantization, kinds=None
+        self,
+        conn,
+        partition_ids,
+        use_quantization,
+        kinds=(CHECKSUM_KIND_VECTORS, CHECKSUM_KIND_CODES),
+        planned=None,
     ):
-        if kinds is None:
-            self._inner.refresh_checksums(
-                conn, partition_ids, use_quantization
-            )
-        else:
-            self._inner.refresh_checksums(
-                conn, partition_ids, use_quantization, kinds
-            )
+        self._inner.refresh_checksums(
+            conn, partition_ids, use_quantization, kinds, planned
+        )
 
     def read_partition(self, conn, partition_id):
         return self._inner.read_partition(conn, partition_id)

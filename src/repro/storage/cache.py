@@ -10,10 +10,13 @@ evicting whole partitions keeps accounting exact and mirrors how the
 clustered layout makes partition reads sequential. Cold-start scenarios
 purge the cache (``clear``); warm-cache scenarios pre-populate it by
 running warm-up queries. A committed write *patches* the entries it
-touches (:meth:`PartitionCache.patch`) — deleted and moved rows leave
-them, upserted and flushed rows join them — so each resident entry
-keeps holding exactly the rows a fresh load would, and a workload that
-keeps writing keeps its cache warm.
+touches — deleted and moved rows leave them, upserted and flushed rows
+join them — so each resident entry keeps holding exactly the rows a
+fresh load would, and a workload that keeps writing keeps its cache
+warm. A write plans its patch inside its transaction
+(:meth:`PartitionCache.plan`), stamps the checksums of the partitions
+it touched from the post-write copies at hand, and installs the plan
+once it has committed (:meth:`PartitionCache.install`).
 
 A cached partition also carries the attribute columns of its rows
 (:class:`AttributeColumn`) once a filtered scan has asked for them: the
@@ -208,6 +211,7 @@ def _patched(
     entry: CachedPartition,
     gone: list[int],
     rows: list[tuple[str, int, np.ndarray]],
+    columns: Mapping[str, AttributeColumn | None],
 ) -> CachedPartition:
     """``entry`` less the rows at the positions ``gone``, plus ``rows``
     — ``(asset_id, vector_id, one-row matrix)`` — in one copy.
@@ -215,8 +219,9 @@ def _patched(
     The result keeps ``asset_id`` order, the order every backend reads
     a partition in, so it is row for row what a fresh load returns. It
     is joined from slices of the entry: the cost is the pieces, not
-    the rows. Attribute columns are cut alike when rows only leave;
-    rows that join drop them, and the next filtered scan reads them.
+    the rows. The entry's attribute ``columns`` are cut alike when
+    rows only leave; rows that join drop them, and the next filtered
+    scan reads them.
     """
     rows = sorted(rows, key=itemgetter(0))
     # Removed rows as runs [start, stop): a flush emptying the delta
@@ -251,16 +256,16 @@ def _patched(
         pieces.append(values[start:])
         return join(pieces)
 
-    columns = {}
+    kept = {}
     if not rows:
-        columns = {
+        kept = {
             name: None
             if column is None
             else AttributeColumn(
                 splice(column.values, ()),
                 None if column.valid is None else splice(column.valid, ()),
             )
-            for name, column in entry.columns.items()
+            for name, column in columns.items()
         }
     return CachedPartition(
         partition_id=entry.partition_id,
@@ -271,8 +276,77 @@ def _patched(
             entry.vector_ids, [(v,) for _, v, _ in rows], _joined_tuple
         ),
         matrix=_frozen(splice(entry.matrix, [m for _, _, m in rows])),
-        columns=columns,
+        columns=kept,
     )
+
+
+@dataclass
+class PatchPlan:
+    """One write's patch of a :class:`PartitionCache`: built by
+    :meth:`PartitionCache.plan` before the write commits, applied by
+    :meth:`PartitionCache.install` after.
+
+    ``entries`` maps each partition the write touches whose entry the
+    cache held at planning to its post-write copy — the rows a fresh
+    load returns once the write commits — or to the entry itself when
+    the write leaves it as it is. A partition whose entry is to be
+    dropped has none. ``bases`` are the entries the copies were built
+    from: install swaps a copy in only while its base is still cached.
+    """
+
+    asset_ids: Collection[str]
+    holders: set[int]
+    moved_in: dict[int, list[str]]
+    joining: dict[int, list[tuple[str, int, np.ndarray]]]
+    drop: set[int]
+    # Moved rows by asset id: (vector id, one-row matrix).
+    carried: dict[str, tuple[int, np.ndarray]] = field(
+        default_factory=dict
+    )
+    bases: dict[int, CachedPartition] = field(default_factory=dict)
+    entries: dict[int, CachedPartition] = field(default_factory=dict)
+
+    @property
+    def touched(self) -> set[int]:
+        return self.holders.union(self.moved_in, self.joining)
+
+    def gone_from(self, pid: int, entry: CachedPartition) -> list[int]:
+        """Positions of the rows ``entry`` loses; moved ones are kept
+        in ``carried`` for their destinations."""
+        # An entry loaded after the commit holds a written row only
+        # where the write put it.
+        candidates = self.asset_ids
+        if pid not in self.holders:
+            candidates = self.moved_in.get(pid, []) + [
+                row[0] for row in self.joining.get(pid, [])
+            ]
+        gone = _positions(entry.asset_ids, candidates)
+        if self.moved_in:
+            for i in gone:
+                self.carried[entry.asset_ids[i]] = (
+                    entry.vector_ids[i],
+                    entry.matrix[i : i + 1],
+                )
+        return gone
+
+    def rebuilt(
+        self,
+        pid: int,
+        entry: CachedPartition,
+        gone: list[int],
+        columns: Mapping[str, AttributeColumn | None],
+    ) -> CachedPartition | None:
+        """``entry`` after the write, or None when it is to be dropped:
+        a destination gaining a row that no cached entry held."""
+        ids = self.moved_in.get(pid, [])
+        if pid in self.drop or not all(a in self.carried for a in ids):
+            return None
+        rows = self.joining.get(pid, []) + [
+            (a, *self.carried[a]) for a in ids
+        ]
+        if not rows and not gone:
+            return entry
+        return _patched(entry, gone, rows, columns)
 
 
 class PartitionCache:
@@ -282,7 +356,7 @@ class PartitionCache:
     caller but never cached (otherwise a single mega-partition would
     evict everything and still not fit).
 
-    Every invalidation and every :meth:`patch` bumps a generation
+    Every invalidation and every :meth:`install` bumps a generation
     counter. A loader reads it BEFORE pinning the database snapshot it
     loads from and hands it back to :meth:`put`; a write that committed
     and patched in between has moved the counter, so the pre-write
@@ -431,37 +505,34 @@ class PartitionCache:
                 self._used -= entry.nbytes
                 self._sync_tracker()
 
-    def patch(
+    def plan(
         self,
-        asset_ids: set[str],
+        asset_ids: Collection[str],
         partitions: Iterable[int],
         *,
         moves: Mapping[str, int] | None = None,
         fresh: CachedPartition | None = None,
         drop: Iterable[int] = (),
-    ) -> None:
-        """Apply one committed write to the resident entries it touches,
-        under one lock, moving the generation as an invalidation does.
+    ) -> PatchPlan:
+        """Build the post-write copy of every resident entry one write
+        touches, installing nothing (:meth:`install` does, after the
+        write commits).
 
         1. The cached entries of ``partitions`` — and of every partition
            the write adds rows to — lose their rows of ``asset_ids``.
         2. ``moves`` (asset id → destination partition) carries each
            moved row from the entry step 1 took it out of into its
            destination's entry. A destination gaining a row that no
-           cached entry held is dropped instead.
+           cached entry held is to be dropped instead.
         3. The rows of ``fresh`` join the entry of its partition.
-        4. The entries of ``drop`` are dropped.
+        4. The entries of ``drop`` are to be dropped.
 
-        Each entry is rebuilt once, whatever it loses and gains. Every
-        row added is one of ``asset_ids``, so the result does not
-        depend on whether an entry was loaded before the write
-        committed or after (a load may be cached in that window): either
-        way it ends up holding the post-write rows. Entries the cache
-        does not hold are left to load cold; the generation move keeps
-        a load from a pre-write snapshot from being cached after this.
+        Each entry is built once, whatever it loses and gains, from the
+        entry the cache holds now. The lock is held only to take those
+        entries and their attribute columns: entries never change once
+        cached, but for the columns :meth:`attach_columns` adds.
         """
         moves = moves or {}
-        holders = set(partitions)
         # The rows each partition gains: moved in, or fresh.
         moved_in: dict[int, list[str]] = {}
         for asset_id, pid in moves.items():
@@ -474,46 +545,66 @@ class PartitionCache:
                     zip(fresh.asset_ids, fresh.vector_ids)
                 )
             ]
-        touched = holders.union(moved_in, joining)
-        drop = list(drop)
+        plan = PatchPlan(
+            asset_ids, set(partitions), moved_in, joining, set(drop)
+        )
+        with self._lock:
+            for pid in plan.touched:
+                entry = self._entries.get(pid)
+                if entry is not None:
+                    plan.bases[pid] = entry
+            columns = {
+                pid: dict(entry.columns) for pid, entry in plan.bases.items()
+            }
+        gone = {
+            pid: plan.gone_from(pid, entry)
+            for pid, entry in plan.bases.items()
+        }
+        for pid, entry in plan.bases.items():
+            post = plan.rebuilt(pid, entry, gone[pid], columns[pid])
+            if post is not None:
+                plan.entries[pid] = post
+        return plan
+
+    def install(self, plan: PatchPlan) -> None:
+        """Apply a committed write's :meth:`plan` under one lock, moving
+        the generation as an invalidation does.
+
+        A planned copy replaces its base if the cache still holds the
+        base. An entry that changed since the plan — a load cached in
+        between, before the commit or after it — is patched here the
+        same way, from the rows the plan carries. Every row added is
+        one of the written ``asset_ids``, so either way the entry ends
+        up holding the post-write rows. Entries the cache does not hold
+        are left to load cold; the generation move keeps a load from a
+        pre-write snapshot from being cached after this.
+        """
         with self._lock:
             self._generation += 1
             entries = self._entries
-            losses: dict[int, list[int]] = {}
-            # Moved rows by asset id: (vector id, one-row matrix).
-            carried: dict[str, tuple[int, np.ndarray]] = {}
-            for pid in touched:
+            stale = {}
+            for pid in plan.touched:
+                entry = entries.get(pid)
+                if entry is not None and entry is not plan.bases.get(pid):
+                    stale[pid] = entry
+            gone = {
+                pid: plan.gone_from(pid, entry) for pid, entry in stale.items()
+            }
+            drop = set(plan.drop)
+            for pid in plan.touched:
                 entry = entries.get(pid)
                 if entry is None:
                     continue
-                # An entry loaded after the commit holds a written row
-                # only where the write put it.
-                candidates = asset_ids
-                if pid not in holders:
-                    candidates = moved_in.get(pid, []) + [
-                        row[0] for row in joining.get(pid, [])
-                    ]
-                gone = _positions(entry.asset_ids, candidates)
-                if not gone:
-                    continue
-                losses[pid] = gone
-                if moves:
-                    for i in gone:
-                        carried[entry.asset_ids[i]] = (
-                            entry.vector_ids[i],
-                            entry.matrix[i : i + 1],
-                        )
-            for pid in touched:
-                entry = entries.get(pid)
-                if entry is None:
-                    continue
-                ids = moved_in.get(pid, [])
-                if not all(a in carried for a in ids):
-                    drop.append(pid)
-                    continue
-                rows = joining.get(pid, []) + [(a, *carried[a]) for a in ids]
-                if rows or pid in losses:
-                    self._replace(_patched(entry, losses.get(pid, []), rows))
+                if pid in stale:
+                    post = plan.rebuilt(
+                        pid, entry, gone[pid], entry.columns
+                    )
+                else:
+                    post = plan.entries.get(pid)
+                if post is None:
+                    drop.add(pid)
+                elif post is not entry:
+                    self._replace(post)
             for pid in drop:
                 entry = entries.pop(pid, None)
                 if entry is not None:

@@ -69,6 +69,7 @@ from repro.storage.cache import (
     CachedPartition,
     DeltaCodesCache,
     PartitionCache,
+    PatchPlan,
     ScratchBufferPool,
     ScratchLease,
 )
@@ -808,56 +809,94 @@ class StorageEngine:
                 self._write_attributes(
                     conn, [record for record, _, _ in ordered], attr_names
                 )
-                self._backend.refresh_checksums(
-                    conn, touched, self._use_quantization
+                fresh = CachedPartition(
+                    partition_id=DELTA_PARTITION_ID,
+                    asset_ids=tuple(batch_ids),
+                    vector_ids=tuple(vid for _, vid, _ in ordered),
+                    matrix=np.frombuffer(
+                        b"".join(blob for _, _, blob in ordered),
+                        dtype=VECTOR_DTYPE,
+                    ).reshape(len(ordered), dim),
                 )
-            fresh = CachedPartition(
-                partition_id=DELTA_PARTITION_ID,
-                asset_ids=tuple(batch_ids),
-                vector_ids=tuple(vector_id for _, vector_id, _ in ordered),
-                matrix=np.frombuffer(
-                    b"".join(blob for _, _, blob in ordered),
-                    dtype=VECTOR_DTYPE,
-                ).reshape(len(ordered), dim),
-            )
-            self._patch_caches(set(batch_ids), touched, fresh=fresh)
+                patch = self._plan_and_stamp(
+                    conn, set(batch_ids), touched, fresh=fresh
+                )
+            self._patch_caches(patch)
         return len(records)
 
-    def _patch_caches(
+    def _plan_and_stamp(
         self,
+        conn: sqlite3.Connection,
         asset_ids: set[str],
         partitions: set[int],
+        touched: set[int] | None = None,
         moves: Mapping[str, int] | None = None,
         fresh: CachedPartition | None = None,
+    ) -> tuple[PatchPlan, PatchPlan | None]:
+        """Plan a write's patch of the float and code caches (the latter
+        None unless the database keeps scan codes) and stamp its
+        checksums from it.
+
+        Runs inside the write transaction, after the rows changed:
+        ``asset_ids`` leave the entries of ``partitions``, ``moves``
+        carry rows to their destinations, ``fresh`` rows join the delta
+        (see :meth:`PartitionCache.plan`). Each planned entry is the
+        partition as the write leaves it, so the checksums of
+        ``touched`` (default ``partitions``) are stamped from the
+        post-write copy at hand; only partitions with none — not
+        resident, or a destination the patch drops — are re-read.
+        """
+        codes = None
+        if self._use_quantization:
+            # Code entries never gain rows: the destinations of moved
+            # rows are dropped and load cold.
+            codes = self.codes_cache.plan(
+                asset_ids, partitions, drop=set((moves or {}).values())
+            )
+        floats = self.cache.plan(
+            asset_ids, partitions, moves=moves, fresh=fresh
+        )
+        planned = {CHECKSUM_KIND_VECTORS: floats.entries}
+        if codes is not None:
+            planned[CHECKSUM_KIND_CODES] = codes.entries
+        self._backend.refresh_checksums(
+            conn,
+            partitions if touched is None else touched,
+            self._use_quantization,
+            planned=planned,
+        )
+        return floats, codes
+
+    def _patch_caches(
+        self, patch: tuple[PatchPlan, PatchPlan | None]
     ) -> None:
-        """Apply a committed write to the caches (see
-        :meth:`PartitionCache.patch`): ``asset_ids`` leave the entries
-        of ``partitions``, ``moves`` carry rows to their destinations,
-        ``fresh`` rows join the delta.
+        """Install a committed write's planned patch in the caches (see
+        :meth:`PartitionCache.install`).
 
         Runs after the commit and before the writer lock is released,
-        so patches apply in commit order. Code entries never gain rows:
-        the destinations of moved rows are dropped and load cold. The
-        entries that gain rows change before those that lose them, so
-        a scan taking entries from both caches between the two patches
-        may see a row twice (the cut keeps one copy) but never miss
-        it — on an upsert the float delta goes first, on a move the
-        code entries do. The delta codes are encoded from the float
-        delta, so they are dropped after it is patched: an encode that
-        read the delta before the patch is then not cached.
+        so patches apply in commit order. The entries that gain rows
+        change before those that lose them, so a scan taking entries
+        from both caches between the two installs may see a row twice
+        (the cut keeps one copy) but never miss it — on an upsert the
+        float delta goes first, on a move the code entries do. The
+        delta codes are encoded from the float delta, so they are
+        dropped after it is patched: an encode that read the delta
+        before the patch is then not cached.
         """
-        codes = self._use_quantization
-        if codes and moves:
-            self.codes_cache.patch(
-                asset_ids, partitions, drop=set(moves.values())
-            )
-        self.cache.patch(asset_ids, partitions, moves=moves, fresh=fresh)
-        if codes and (
-            moves or fresh is not None or DELTA_PARTITION_ID in partitions
+        floats, codes = patch
+        if codes is not None and floats.moved_in:
+            self.codes_cache.install(codes)
+        self.cache.install(floats)
+        if codes is None:
+            return
+        if (
+            floats.moved_in
+            or floats.joining
+            or DELTA_PARTITION_ID in floats.holders
         ):
             self.delta_codes.invalidate()
-        if codes and not moves:
-            self.codes_cache.patch(asset_ids, partitions)
+        if not floats.moved_in:
+            self.codes_cache.install(codes)
 
     def _validate_attributes(self, attributes: Mapping[str, object]) -> None:
         declared = self._config.normalized_attributes
@@ -958,10 +997,8 @@ class StorageEngine:
                     [(asset_id,) for asset_id in ids],
                 )
                 self._delete_tokens(conn, ids)
-                self._backend.refresh_checksums(
-                    conn, touched, self._use_quantization
-                )
-            self._patch_caches(set(ids), touched)
+                patch = self._plan_and_stamp(conn, set(ids), touched)
+            self._patch_caches(patch)
         return deleted
 
     # ------------------------------------------------------------------
@@ -1043,10 +1080,14 @@ class StorageEngine:
                 self._backend.apply_assignments(
                     conn, moves, code_rows, self._use_quantization
                 )
-                self._backend.refresh_checksums(
-                    conn, touched, self._use_quantization
+                patch = self._plan_and_stamp(
+                    conn,
+                    set(destination),
+                    sources,
+                    touched=touched,
+                    moves=destination,
                 )
-            self._patch_caches(set(destination), sources, moves=destination)
+            self._patch_caches(patch)
         return len(moves)
 
     # ------------------------------------------------------------------
@@ -1730,41 +1771,44 @@ class StorageEngine:
             matrix = decode_matrix(blobs, dim)
             return encode_code_matrix(quantizer.encode(matrix))
 
-        with self.write_transaction("rebuild_codes") as conn:
-            quantizer_json = quantizer.to_json()
-            conn.executemany(
-                "INSERT INTO meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                [
-                    (self.quantizer_meta_key, quantizer_json),
-                    (
-                        self.quantizer_meta_key + "_crc32",
-                        str(zlib.crc32(quantizer_json.encode("utf-8"))),
-                    ),
-                ],
-            )
-            for stale_key in (
-                self.QUANTIZER_META_KEY,
-                self.PQ_QUANTIZER_META_KEY,
-            ):
-                if stale_key != self.quantizer_meta_key:
-                    conn.execute(
-                        "DELETE FROM meta WHERE key IN (?, ?)",
-                        (stale_key, stale_key + "_crc32"),
-                    )
-            written = self._backend.rewrite_codes(
-                conn, encode_blobs, batch_size
-            )
-            self._backend.refresh_checksums(
-                conn, None, True, kinds=(CHECKSUM_KIND_CODES,)
-            )
-        with self._quantizer_lock:
-            self._quantizer = quantizer
-            self._quantizer_loaded = True
-        self._quantizer_corrupt = False
-        self.codes_cache.clear()
-        # Cached delta codes were encoded under the replaced quantizer.
-        self.delta_codes.invalidate()
+        # The stale code entries leave before the writer lock does: a
+        # write planning from them would stamp the old codes.
+        with self._writer_lock:
+            with self.write_transaction("rebuild_codes") as conn:
+                quantizer_json = quantizer.to_json()
+                conn.executemany(
+                    "INSERT INTO meta (key, value) VALUES (?, ?) "
+                    "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
+                    [
+                        (self.quantizer_meta_key, quantizer_json),
+                        (
+                            self.quantizer_meta_key + "_crc32",
+                            str(zlib.crc32(quantizer_json.encode("utf-8"))),
+                        ),
+                    ],
+                )
+                for stale_key in (
+                    self.QUANTIZER_META_KEY,
+                    self.PQ_QUANTIZER_META_KEY,
+                ):
+                    if stale_key != self.quantizer_meta_key:
+                        conn.execute(
+                            "DELETE FROM meta WHERE key IN (?, ?)",
+                            (stale_key, stale_key + "_crc32"),
+                        )
+                written = self._backend.rewrite_codes(
+                    conn, encode_blobs, batch_size
+                )
+                self._backend.refresh_checksums(
+                    conn, None, True, kinds=(CHECKSUM_KIND_CODES,)
+                )
+            with self._quantizer_lock:
+                self._quantizer = quantizer
+                self._quantizer_loaded = True
+            self._quantizer_corrupt = False
+            self.codes_cache.clear()
+            # Cached delta codes were encoded under the replaced quantizer.
+            self.delta_codes.invalidate()
         return written
 
     def count_codes(self) -> int:

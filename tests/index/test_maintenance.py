@@ -1,10 +1,13 @@
 """Index monitor and incremental maintenance tests (§3.6)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import MicroNN, MicroNNConfig
 from repro.core.types import MaintenanceAction
+from repro.index.maintenance import IndexMonitor
 from tests.conftest import requires_row_layout
 
 
@@ -174,3 +177,51 @@ class TestMaintainAutomation:
         assert report.stats_before.delta_vectors == 12
         assert report.stats_after.delta_vectors == 0
         assert report.duration_s >= 0
+
+    @pytest.mark.parametrize("quantization", ["none", "sq8"])
+    @pytest.mark.parametrize("pending", [0, 12])
+    def test_one_partition_size_scan_per_maintain(
+        self, tmp_path, config, rng, monkeypatch, quantization, pending
+    ):
+        """The recommendation, the flush and its reports share one
+        partition-size scan. ``stats_after`` adds the moves to those
+        sizes instead of scanning again, and on a quiescent database
+        it equals a fresh ``IndexMonitor.stats()``."""
+        # No blob-file compaction after the report: the hygiene pass
+        # that follows a flush would change the dead-byte figures.
+        config = dataclasses.replace(
+            config,
+            quantization=quantization,
+            blob_compact_min_dead_ratio=1.0,
+        )
+        db = MicroNN.open(tmp_path / "q.db", config)
+        try:
+            vecs = rng.normal(size=(100 + pending, 8)).astype(np.float32)
+            db.upsert_batch((f"a{i:04d}", vecs[i]) for i in range(100))
+            db.build_index()
+            db.upsert_batch(
+                (f"n{i:04d}", vecs[100 + i]) for i in range(pending)
+            )
+            engine = db.engine
+            scans = []
+            real = engine.partition_sizes
+
+            def counted(*args, **kwargs):
+                scans.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, "partition_sizes", counted)
+            report = db.maintain()
+            assert report.action is (
+                MaintenanceAction.INCREMENTAL_FLUSH
+                if pending
+                else MaintenanceAction.NONE
+            )
+            assert len(scans) == 1
+            monkeypatch.undo()
+            fresh = IndexMonitor(engine, config).stats()
+            assert report.stats_after == fresh
+            assert fresh.delta_vectors == 0
+            assert fresh.indexed_vectors == 100 + pending
+        finally:
+            db.close()

@@ -12,6 +12,13 @@ partition returns, in the same order, bit for bit; its attribute
 columns must match a fresh read; and a warm search must return the ids
 and bit-identical distances the same search returns after
 ``purge_caches()``.
+
+A write stamps the checksums of the partitions it touched from their
+planned post-write entries, re-reading only those with none. After
+every step each stored stamp — vectors, and codes under ``sq8`` — must
+equal ``payload_checksum`` of a fresh read of its partition. The
+tiny-cache variant keeps few entries resident, so writes stamp partly
+from entries and partly from re-reads.
 """
 
 from __future__ import annotations
@@ -21,8 +28,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Eq, MicroNN, MicroNNConfig
+from repro import DeviceProfile, Eq, MicroNN, MicroNNConfig
 from repro.core.types import MaintenanceAction
+from repro.storage.backends.base import (
+    CHECKSUM_KIND_CODES,
+    CHECKSUM_KIND_VECTORS,
+    payload_checksum,
+)
 from repro.storage.cache import AttributeColumn
 
 DIM = 8
@@ -86,6 +98,28 @@ def check_resident(db) -> None:
         assert delta_codes.matrix.tobytes() == encoded.tobytes()
 
 
+def check_stamps(db, quantized: bool) -> None:
+    """Every stored stamp is the checksum of a fresh read, and every
+    non-empty partition has one."""
+    engine = db.engine
+    backend = engine._backend
+    with engine.read_snapshot() as conn:
+        pids = set(backend.partition_sizes(conn, include_delta=False))
+        pids |= backend.checksummed_partitions(conn)
+        for pid in sorted(pids):
+            reads = {CHECKSUM_KIND_VECTORS: backend.read_partition(conn, pid)}
+            if quantized:
+                reads[CHECKSUM_KIND_CODES] = backend.read_partition_codes(
+                    conn, pid
+                )
+            want = {
+                kind: payload_checksum(payload)
+                for kind, payload in reads.items()
+                if len(payload)
+            }
+            assert backend.stored_checksums(conn, pid) == want, pid
+
+
 def warm_up(db, quantized: bool) -> None:
     """Every partition resident, float and codes, columns attached."""
     engine = db.engine
@@ -104,17 +138,38 @@ def resident_floats(db) -> set[int]:
     return {pid for pid in pids if pid in engine.cache}
 
 
-@pytest.mark.parametrize("quantization", ["none", "sq8"])
-@pytest.mark.parametrize(
+every_backend = pytest.mark.parametrize(
     "backend", ["sqlite-row", "sqlite-packed", "blobfile", "memory"]
 )
-@given(steps)
-@settings(
+every_quantization = pytest.mark.parametrize("quantization", ["none", "sq8"])
+twenty_examples = settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@every_quantization
+@every_backend
+@given(steps)
+@twenty_examples
 def test_patched_entries_equal_fresh_loads(backend, quantization, steps):
+    run_steps(backend, quantization, steps)
+
+
+@every_quantization
+@every_backend
+@given(steps)
+@twenty_examples
+def test_tiny_cache_stamps_equal_fresh_reads(backend, quantization, steps):
+    """A cache holding about three float entries (~12 rows x 48 B):
+    writes stamp partly from planned entries, partly from re-reads."""
+    device = DeviceProfile(partition_cache_bytes=1800)
+    run_steps(backend, quantization, steps, device)
+
+
+def run_steps(backend, quantization, steps, device=None) -> None:
+    roomy = device is None
     config = MicroNNConfig(
         dim=DIM,
         target_cluster_size=10,
@@ -123,6 +178,7 @@ def test_patched_entries_equal_fresh_loads(backend, quantization, steps):
         quantization=quantization,
         delta_quantize_threshold=3,
         attributes={"bucket": "INTEGER"},
+        **({} if roomy else {"device": device}),
     )
     quantized = quantization != "none"
     rng = np.random.default_rng(7)
@@ -153,7 +209,8 @@ def test_patched_entries_equal_fresh_loads(backend, quantization, steps):
                     (a, v, {"bucket": int(local.integers(BUCKETS))})
                     for a, v in zip(ids, fresh)
                 )
-                assert -1 in db.engine.cache
+                if roomy:
+                    assert -1 in db.engine.cache
             elif kind == "delete":
                 picks = local.choice(len(live), count, replace=False)
                 doomed = [live[i] for i in sorted(picks, reverse=True)]
@@ -178,6 +235,7 @@ def test_patched_entries_equal_fresh_loads(backend, quantization, steps):
                 ).tobytes()
                 warm_up(db, quantized)
             check_resident(db)
-            if kind != "search":
+            check_stamps(db, quantized)
+            if kind != "search" and roomy:
                 # Patched, not dropped: every float entry stays resident.
                 assert resident_floats(db) == before

@@ -151,11 +151,15 @@ class TestCachedPartition:
 
 
 class TestPatch:
-    """``PartitionCache.patch`` against a dict model of the partitions:
-    every resident entry — loaded before the write committed or after
-    — ends up holding its partition's post-write rows in ``asset_id``
-    order, bit for bit; columns are sliced when an entry only loses
-    rows and dropped when it gains any."""
+    """``PartitionCache.plan`` + ``install`` against a dict model of
+    the partitions: every resident entry — loaded before the write
+    committed or after, cached before the plan or between plan and
+    install — ends up holding its partition's post-write rows in
+    ``asset_id`` order, bit for bit; columns are sliced when an entry
+    only loses rows and dropped when it gains any."""
+
+    POOL = [f"a{i:02d}" for i in range(12)]
+    PIDS = [-1, 0, 1, 2]
 
     @staticmethod
     def entry(pid, rows, columns=None):
@@ -170,11 +174,10 @@ class TestPatch:
             columns={} if columns is None else columns,
         )
 
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_the_model(self, data):
-        pool = [f"a{i:02d}" for i in range(12)]
-        pids = [-1, 0, 1, 2]
+    def draw_write(self, data):
+        """A random write and the dict model of its partitions:
+        ``(removed, holders, moves, fresh, before, after, gained)``."""
+        pool, pids = self.POOL, self.PIDS
         home = data.draw(
             st.dictionaries(st.sampled_from(pool), st.sampled_from(pids))
         )
@@ -215,6 +218,27 @@ class TestPatch:
             ):
                 after[-1][a] = (vid, tuple(row))
             gained.add(-1)
+        holders = {home[a] for a in removed if a in home}
+        return removed, holders, moves, fresh, before, after, gained
+
+    @staticmethod
+    def put(cache, pid, rows, valid):
+        """Cache ``rows`` of ``pid`` with an ``n`` column attached."""
+        ids = sorted(rows)
+        column = AttributeColumn(
+            np.array([int(a[1:]) for a in ids], dtype=np.int64),
+            np.array([valid[a] for a in ids], dtype=bool),
+        )
+        cache.put(TestPatch.entry(pid, rows, {"n": column}))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_model(self, data):
+        pool, pids = self.POOL, self.PIDS
+        removed, holders, moves, fresh, before, after, gained = (
+            self.draw_write(data)
+        )
+        home = {a: pid for pid in pids for a in before[pid]}
         # Resident entries loaded before the commit, or after it.
         loaded = data.draw(
             st.dictionaries(st.sampled_from(pids), st.booleans())
@@ -223,16 +247,9 @@ class TestPatch:
         tracker = MemoryTracker()
         cache = PartitionCache(budget_bytes=1 << 20, tracker=tracker)
         for pid, post in loaded.items():
-            rows = (after if post else before)[pid]
-            ids = sorted(rows)
-            column = AttributeColumn(
-                np.array([int(a[1:]) for a in ids], dtype=np.int64),
-                np.array([valid[a] for a in ids], dtype=bool),
-            )
-            cache.put(self.entry(pid, rows, {"n": column}))
-        holders = {home[a] for a in removed if a in home}
+            self.put(cache, pid, (after if post else before)[pid], valid)
         generation = cache.generation()
-        cache.patch(removed, holders, moves=moves, fresh=fresh)
+        cache.install(cache.plan(removed, holders, moves=moves, fresh=fresh))
         assert cache.generation() == generation + 1
         for pid in pids:
             got = cache.get(pid)
@@ -263,3 +280,45 @@ class TestPatch:
             cache.get(pid).nbytes for pid in pids if pid in cache
         )
         assert tracker.current_bytes == cache.used_bytes
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_cached_between_plan_and_install(self, data):
+        """Between plan and install a reader may evict an entry or cache
+        its own load, of the pre-write rows or the post-write ones. The
+        install patches what it finds: each entry it leaves holds the
+        post-write rows, and only a move's destination may be dropped.
+        """
+        removed, holders, moves, fresh, before, after, _ = (
+            self.draw_write(data)
+        )
+        states = st.sampled_from(["pre", "post", "evicted"])
+        pids = st.sampled_from(self.PIDS)
+        planned = data.draw(st.dictionaries(pids, states))
+        between = data.draw(st.dictionaries(pids, states))
+        valid = {a: int(a[1:]) % 2 == 0 for a in self.POOL}
+        cache = PartitionCache(budget_bytes=1 << 20)
+        model = {"pre": before, "post": after}
+        for pid, state in planned.items():
+            if state != "evicted":
+                self.put(cache, pid, model[state][pid], valid)
+        plan = cache.plan(removed, holders, moves=moves, fresh=fresh)
+        for pid, state in between.items():
+            if state == "evicted":
+                cache.invalidate(pid)
+            else:
+                self.put(cache, pid, model[state][pid], valid)
+        resident = {pid for pid in self.PIDS if pid in cache}
+        cache.install(plan)
+        for pid in self.PIDS:
+            got = cache.get(pid)
+            if got is None:
+                assert pid not in resident or pid in moves.values()
+                continue
+            want = self.entry(pid, after[pid])
+            assert got.asset_ids == want.asset_ids
+            assert got.vector_ids == want.vector_ids
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert cache.used_bytes == sum(
+            cache.get(pid).nbytes for pid in self.PIDS if pid in cache
+        )

@@ -246,6 +246,18 @@ class TestConcurrentReadersWriter:
                             found.stats.rows_filtered
                             == count - len(expected)
                         )
+                # Readers cache loads between a write's plan and its
+                # install: every resident entry still equals a fresh
+                # load, and every stamp a write stored verifies.
+                engine = db.engine
+                for pid in engine.load_centroids()[0].tolist() + [-1]:
+                    entry = engine.cache.get(pid)
+                    if entry is not None:
+                        fresh = engine.load_partition(pid, use_cache=False)
+                        assert entry.asset_ids == fresh.asset_ids
+                        assert entry.matrix.tobytes() == fresh.matrix.tobytes()
+                scrub = engine.scrub()
+                assert scrub.corrupt_vectors == scrub.corrupt_codes == ()
             assert db.index_stats().delta_vectors > 0
             assert not errors
         finally:
@@ -463,5 +475,66 @@ class TestSnapshotIsolation:
             assert second not in engine.cache
             row = int(gone[1:])
             assert gone not in db.search(vecs[row], k=3, nprobe=99).asset_ids
+        finally:
+            db.close()
+
+    @requires_file_backend
+    @pytest.mark.parametrize("resident", [False, True])
+    @pytest.mark.parametrize("window", ["before_commit", "after_commit"])
+    def test_load_cached_between_plan_and_install_ends_post_write(
+        self, tmp_path, config, rng, monkeypatch, window, resident
+    ):
+        """A write plans its cache patch inside its transaction and
+        installs it after the commit. In between, the partition's entry
+        is evicted (when resident) and a reader caches its own load: the
+        pre-write rows before the commit, the post-write rows after.
+        Either way the install leaves the entry holding what a fresh
+        load returns, and the stamp the write stored matches it."""
+        db = MicroNN.open(tmp_path / "c.db", config)
+        try:
+            populate(db, rng, count=60)
+            db.build_index()
+            db.purge_caches()
+            engine, cache = db.engine, db.engine.cache
+            pid = next(iter(engine.partition_sizes()))
+            first = engine.load_partition(pid, use_cache=resident)
+            victim = first.asset_ids[0]
+            assert (pid in cache) == resident
+            loaded = []
+
+            def race():
+                cache.invalidate(pid)
+                reader = threading.Thread(
+                    target=lambda: loaded.append(engine.load_partition(pid))
+                )
+                reader.start()
+                reader.join(timeout=30)
+                assert pid in cache
+
+            real_plan, real_install = cache.plan, cache.install
+
+            def plan(*args, **kwargs):
+                patch = real_plan(*args, **kwargs)
+                if window == "before_commit":
+                    race()
+                return patch
+
+            def install(patch):
+                if window == "after_commit":
+                    race()
+                real_install(patch)
+
+            monkeypatch.setattr(cache, "plan", plan)
+            monkeypatch.setattr(cache, "install", install)
+            db.delete(victim)
+            pre_write = window == "before_commit"
+            assert (victim in loaded[0].asset_ids) == pre_write
+            entry = cache.get(pid)
+            fresh = engine.load_partition(pid, use_cache=False)
+            assert entry is not None and victim not in entry.asset_ids
+            assert entry.asset_ids == fresh.asset_ids
+            assert entry.vector_ids == fresh.vector_ids
+            assert entry.matrix.tobytes() == fresh.matrix.tobytes()
+            assert engine.scrub().corrupt_vectors == ()
         finally:
             db.close()

@@ -266,6 +266,42 @@ class TestTransientLocks:
             db.close()
 
 
+class TestStampPath:
+    def test_resident_writes_stamp_without_rereading(
+        self, tmp_path, rng, monkeypatch
+    ):
+        """The wrapper hands a write's planned cache entries through to
+        the stamp: a delete and an overwrite whose partitions are
+        resident (floats and codes) restamp them without reading a
+        partition, and every stamp still verifies."""
+        db = MicroNN.open(tmp_path / "db", make_config(FAULT_BACKEND))
+        try:
+            vectors = make_vectors(rng)
+            db.upsert_batch(vectors.items())
+            db.build_index()
+            engine = db.engine
+            for pid in engine.load_centroids()[0].tolist():
+                engine.load_partition(pid)
+                engine.load_partition_codes(pid)
+            inner = engine._backend._inner
+            reads = []
+            for name in ("read_partition", "read_partition_codes"):
+
+                def counted(conn, pid, real=getattr(inner, name)):
+                    reads.append(pid)
+                    return real(conn, pid)
+
+                monkeypatch.setattr(inner, name, counted)
+            ids = list(vectors)
+            assert db.delete_batch(ids[:3]) == 3
+            db.upsert_batch((i, vectors[i] + 1) for i in ids[5:8])
+            assert reads == []
+            monkeypatch.undo()
+            assert db.verify().healthy
+        finally:
+            db.close()
+
+
 class TestTornWrites:
     def test_torn_blob_degrades_then_repairs(self, tmp_path, rng):
         """Post-commit media corruption: checksums catch the tear,
